@@ -59,6 +59,32 @@ def _tangent_factors(diagram, z, points):
     return out
 
 
+def _tangent_summands(a, bs, tangent):
+    """The reduced localized summands a*b / e(T), one per polynomial b of ``bs``.
+
+    ``tangent`` is e(T) factored as (constant, h power, S forms).  ``a`` is
+    cancelled against the forms once, and each b against the forms left over,
+    before anything is multiplied.  The forms are linear, hence prime, so this
+    cancels exactly the forms that reducing a*b would, while the trial
+    divisions run on the factors instead of on their much larger product.
+    The h power is divided out of each product.
+    """
+    const, hpow, forms = tangent
+    a = LocalizedScalar(a, forms)
+    inv = Fraction(1) / const
+    out = []
+    for b in bs:
+        summand = a * b * inv
+        if hpow:
+            num = summand.num
+            if num.h_valuation() < hpow:
+                raise NonPolynomialError("tangent h power does not cancel")
+            num = num.exact_div(MultiPoly.h(num.window) ** hpow)
+            summand = LocalizedScalar(num, summand.denoms, reduce_now=False)
+        out.append(summand)
+    return out
+
+
 _PAIR_TERMS_CACHE = {}
 
 
@@ -72,27 +98,28 @@ def _pairing_terms(diagram, z):
     if ckey in _PAIR_TERMS_CACHE:
         return _PAIR_TERMS_CACHE[ckey]
     points = fixed_points(diagram)
+    keys = [D.key() for D in points]
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))
     tangent = _tangent_factors(diagram, z, points)
-    h = MultiPoly.h(diagram.N)
-    out = {}
-    for D in points:
-        for Dp in points:
-            terms = []
-            for T in points:
-                a = grid_c[(T.key(), D.key())]
-                if a.is_zero():
-                    continue
-                b = grid_op[(T.key(), Dp.key())]
-                if b.is_zero():
-                    continue
-                const, hpow, forms = tangent[T.key()]
-                if hpow:
-                    raise NonPolynomialError("tangent Euler class has a pure h factor")
-                num = a * b * (Fraction(1) / const)
-                terms.append((T.key(), LocalizedScalar(num, forms)))
-            out[(D.key(), Dp.key())] = terms
+    # the nonzero opposite-chamber multiplicities at each fixed point T
+    op_rows = {
+        tk: [(dpk, grid_op[(tk, dpk)]) for dpk in keys if not grid_op[(tk, dpk)].is_zero()]
+        for tk in keys
+    }
+    out = {(dk, dpk): [] for dk in keys for dpk in keys}
+    # D, then T, then D': each Stab(D)|_T is cancelled once for all D'
+    for dk in keys:
+        for tk in keys:
+            a = grid_c[(tk, dk)]
+            if a.is_zero():
+                continue
+            if tangent[tk][1]:
+                raise NonPolynomialError("tangent Euler class has a pure h factor")
+            row = op_rows[tk]
+            summands = _tangent_summands(a, [b for _, b in row], tangent[tk])
+            for (dpk, _), summand in zip(row, summands):
+                out[(dk, dpk)].append((tk, summand))
     _PAIR_TERMS_CACHE[ckey] = out
     return out
 
@@ -106,22 +133,13 @@ def virtual_pairing(diagram, z, vec_a, vec_b, tangent=None):
     points = fixed_points(diagram)
     if tangent is None:
         tangent = _tangent_factors(diagram, z, points)
-    N = diagram.N
-    h = MultiPoly.h(N)
-    total = LocalizedScalar.from_poly(MultiPoly.zero(N))
+    total = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
     for D in points:
         key = D.key()
-        num = vec_a[key] * vec_b[key]
-        if num.is_zero():
+        a, b = vec_a[key], vec_b[key]
+        if a.is_zero() or b.is_zero():
             continue
-        const, hpow, forms = tangent[key]
-        num = num * (Fraction(1) / const)
-        val = num.h_valuation()
-        if hpow:
-            if val < hpow:
-                raise NonPolynomialError("tangent h power does not cancel")
-            num = num.exact_div(h ** hpow)
-        total = total + LocalizedScalar(num, forms)
+        total = total + _tangent_summands(a, [b], tangent[key])[0]
     return total
 
 

@@ -516,11 +516,40 @@ def factor_s_forms(p, max_abs_m=None):
     return rest.constant_value(), hpow, sorted(factors)
 
 
+def _cancel_forms(num, forms):
+    """Divide num by each form of the sorted multiset ``forms`` that divides it.
+
+    Returns the quotient and the forms left over, still sorted.  Every form is
+    linear, hence prime, so a form of multiplicity k cancels exactly
+    min(k, its multiplicity in num) times, and cancelling against the factors
+    of a product one after the other leaves what cancelling the product would.
+    """
+    if num.is_zero():
+        return num, ()
+    remaining = []
+    window = num.window
+    base = [_EVAL_BASE[k % len(_EVAL_BASE)] * (k + 1) for k in range(window)]
+    for form in forms:
+        # a factor must vanish on its hyperplane; screen before dividing
+        point = list(base)
+        point[form.i - 1] = point[form.j - 1] - form.m
+        if num.evaluate(point, 1) != 0:
+            remaining.append(form)
+            continue
+        try:
+            num = num.exact_div(form.as_poly(window))
+        except NotDivisibleError:
+            remaining.append(form)
+    return num, tuple(remaining)
+
+
 class LocalizedScalar:
     """Fraction num / prod(denoms) with denominators a multiset of S forms.
 
     Common factors divisible by a denominator element are cancelled greedily;
-    equality is decided by cross multiplication.
+    equality is decided by cross multiplication.  Every instance stays
+    reduced: no form left in ``denoms`` divides ``num``, and a zero ``num``
+    has no denominators.
     """
 
     __slots__ = ("num", "denoms")
@@ -530,28 +559,11 @@ class LocalizedScalar:
         self.denoms = tuple(sorted(denoms, key=lambda f: f.key()))
         if reduce_now:
             self._reduce()
+        elif num.is_zero():
+            self.denoms = ()
 
     def _reduce(self):
-        if self.num.is_zero():
-            self.denoms = ()
-            return
-        remaining = []
-        num = self.num
-        window = num.window
-        base = [_EVAL_BASE[k % len(_EVAL_BASE)] * (k + 1) for k in range(window)]
-        for form in self.denoms:
-            # a factor must vanish on its hyperplane; screen before dividing
-            point = list(base)
-            point[form.i - 1] = point[form.j - 1] - form.m
-            if num.evaluate(point, 1) != 0:
-                remaining.append(form)
-                continue
-            try:
-                num = num.exact_div(form.as_poly(window))
-            except NotDivisibleError:
-                remaining.append(form)
-        self.num = num
-        self.denoms = tuple(remaining)
+        self.num, self.denoms = _cancel_forms(self.num, self.denoms)
 
     @property
     def window(self):
@@ -594,15 +606,17 @@ class LocalizedScalar:
         return LocalizedScalar(-self.num, self.denoms, reduce_now=False)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return self + (-(LocalizedScalar.from_poly(other) if isinstance(other, MultiPoly) else LocalizedScalar.from_poly(MultiPoly.const(other, self.window))))
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LocalizedScalar(self.num * other, self.denoms, reduce_now=False)
         if isinstance(other, MultiPoly):
-            return LocalizedScalar(self.num * other, self.denoms)
+            # self is reduced: no form left in self.denoms divides self.num,
+            # so only the new factor can cancel, and it is cancelled before
+            # the product is formed
+            other, rest = _cancel_forms(other, self.denoms)
+            return LocalizedScalar(self.num * other, rest, reduce_now=False)
         return LocalizedScalar(self.num * other.num, self.denoms + other.denoms)
 
     __rmul__ = __mul__

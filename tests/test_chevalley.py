@@ -1,5 +1,10 @@
+import random
+from fractions import Fraction
+
 from bowcalc.chevalley import (
     CMMatrix,
+    _pairing_terms,
+    _tangent_factors,
     check_congruence,
     check_divisibility,
     check_hw_matrix_transport,
@@ -13,7 +18,7 @@ from bowcalc.chevalley import (
     virtual_pairing,
 )
 from bowcalc.diagrams import BraneDiagram, TieDiagram, flag_diagram
-from bowcalc.exactalg import MultiPoly
+from bowcalc.exactalg import LocalizedScalar, MultiPoly
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import opposite_chamber, stab_grid
 
@@ -44,6 +49,30 @@ def test_pairing_bilinearity():
         + virtual_pairing(d, zid, a2, b) * MultiPoly.t(1, 3)
     )
     assert lhs == rhs
+
+
+def test_pairing_summands_match_product_then_reduce():
+    # every summand, in T order, against reducing the whole product a*b
+    d = BraneDiagram.parse("0/1/2/4\\3\\2\\1\\0")
+    pts = fixed_points(d)
+    keys = [D.key() for D in pts]
+    shuffled = list(range(1, d.N + 1))
+    random.Random(4).shuffle(shuffled)  # the chamber 3142
+    for z in (Permutation.identity(d.N), Permutation(shuffled)):
+        grid = stab_grid(d, z)
+        grid_op = stab_grid(d, opposite_chamber(z))
+        tangent = _tangent_factors(d, z, pts)
+        terms = _pairing_terms(d, z)
+        for dk in keys:
+            for dpk in keys:
+                want = []
+                for tk in keys:
+                    a, b = grid[(tk, dk)], grid_op[(tk, dpk)]
+                    if a.is_zero() or b.is_zero():
+                        continue
+                    const, _, forms = tangent[tk]
+                    want.append((tk, str(LocalizedScalar(a * b * (Fraction(1) / const), forms))))
+                assert [(tk, str(s)) for tk, s in terms[(dk, dpk)]] == want
 
 
 def test_cm_column_golden():

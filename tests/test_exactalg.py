@@ -214,6 +214,26 @@ def test_localized_scalar_sum():
     assert c.is_polynomial() and c.to_poly() == MultiPoly.one(2)
 
 
+def test_localized_times_zero_has_no_denominator():
+    t1, t2 = t(1, 2), t(2, 2)
+    s = LocalizedScalar(t1, [LinearForm(1, 2)])
+    for zero in (s * 0, s * Fraction(0), -(s * 0), s * MultiPoly.zero(2)):
+        assert zero.denoms == ()
+        assert zero.to_poly().is_zero()
+        assert str(zero) == "0"
+    # a zero scalar cancels nothing off the next factor
+    assert (s * 0 * (t1 - t2)).to_poly().is_zero()
+
+
+def test_localized_difference():
+    t1, t2 = t(1, 2), t(2, 2)
+    s = LocalizedScalar(t1, [LinearForm(1, 2)])
+    for other in (3, Fraction(1, 2), t2, LocalizedScalar(t2, [LinearForm(1, 2)])):
+        assert s - other == s + (-other)
+        assert (s - other) + other == s
+    assert (s - LocalizedScalar(t2, [LinearForm(1, 2)])).to_poly() == MultiPoly.one(2)
+
+
 def test_localized_congruence_mod_h():
     # all S-forms are invertible mod h, so congruence is decided after
     # clearing denominators

@@ -1,0 +1,125 @@
+"""Cancel-before-multiply against multiply-then-reduce, with a sympy oracle.
+
+The pairing summands a*b / e(T) cancel the tangent forms against a, then
+against b, and only then multiply.  These properties check on random
+polynomials times random products of S forms that the result is exactly the
+fraction that reducing the whole product gives (same numerator, same sorted
+denominators), and, through sympy's ``cancel`` and ``gcd`` over QQ, that it equals
+a*b / e(T) and is in lowest terms.  sympy is used only in tests.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.rings import ring
+
+from bowcalc.chevalley import _tangent_summands
+from bowcalc.exactalg import LinearForm, LocalizedScalar, MultiPoly, poly_product
+
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def forms(window):
+    # a small pool, so that numerators and denominators share forms often
+    pairs = [(i, j) for i in range(1, window + 1) for j in range(i + 1, window + 1)]
+    return st.builds(
+        lambda ij, m: LinearForm(ij[0], ij[1], m), st.sampled_from(pairs), st.integers(-1, 1)
+    )
+
+
+def coefficient_dicts(window, min_size):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * (window + 1)),
+        st.integers(-3, 3).filter(bool),
+        min_size=min_size,
+        max_size=3,
+    )
+
+
+# strategies are built once: hypothesis validates each new strategy object
+WINDOWS = (2, 3)
+FORMS = {w: forms(w) for w in WINDOWS}
+NONZERO = {w: coefficient_dicts(w, 1) for w in WINDOWS}
+ANY = {w: coefficient_dicts(w, 0) for w in WINDOWS}
+
+
+@st.composite
+def polys(draw, window, allow_zero=False):
+    """A random polynomial times a random product of S forms and h."""
+    p = MultiPoly(window, draw((ANY if allow_zero else NONZERO)[window]))
+    factors = draw(st.lists(FORMS[window], max_size=3))
+    p = p * poly_product([f.as_poly(window) for f in factors], window)
+    return p * MultiPoly.h(window) ** draw(st.integers(0, 1))
+
+
+@st.composite
+def summand_inputs(draw):
+    window = draw(st.sampled_from(WINDOWS))
+    a = draw(polys(window))
+    bs = draw(st.lists(polys(window), min_size=1, max_size=3))
+    denoms = draw(st.lists(FORMS[window], max_size=5))
+    const = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+    hpow = draw(st.integers(0, min(a.h_valuation() + min(b.h_valuation() for b in bs), 2)))
+    return a, bs, (const, hpow, sorted(denoms))
+
+
+def reduce_product(a, b, tangent):
+    """The product-then-reduce construction the cancel-first path replaces."""
+    const, hpow, forms_ = tangent
+    num = a * b * (Fraction(1) / const)
+    if hpow:
+        num = num.exact_div(MultiPoly.h(num.window) ** hpow)
+    return LocalizedScalar(num, forms_)
+
+
+def to_sympy(p):
+    """p as an element of sympy's polynomial ring QQ[t1..tN, h]."""
+    names = ["t%d" % (i + 1) for i in range(p.window)] + ["h"]
+    R = ring(names, QQ)[0]
+    return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
+
+
+def assert_sympy_reduced(value, num, den):
+    """value == cancel(num/den), and value's numerator and denominator are coprime."""
+    top, bottom = to_sympy(value.num), to_sympy(value.denom_poly())
+    want_top, want_bottom = to_sympy(num).cancel(to_sympy(den))
+    assert top * want_bottom == want_top * bottom
+    assert top.gcd(bottom).is_ground
+
+
+@PROPERTY
+@given(summand_inputs())
+def test_tangent_summands_equal_product_then_reduce(inputs):
+    a, bs, tangent = inputs
+    const, hpow, forms_ = tangent
+    window = a.window
+    euler = poly_product([f.as_poly(window) for f in forms_], window)
+    euler = euler * MultiPoly.h(window) ** hpow * const
+    for b, got in zip(bs, _tangent_summands(a, bs, tangent)):
+        want = reduce_product(a, b, tangent)
+        assert got.num == want.num and got.denoms == want.denoms
+        assert str(got) == str(want)
+        assert_sympy_reduced(got, a * b, euler)
+
+
+@st.composite
+def scalar_times_poly(draw):
+    window = draw(st.sampled_from(WINDOWS))
+    s = LocalizedScalar(draw(polys(window, allow_zero=True)), draw(st.lists(FORMS[window], max_size=5)))
+    return s, draw(polys(window, allow_zero=True))
+
+
+@PROPERTY
+@given(scalar_times_poly())
+def test_localized_times_poly_equals_product_then_reduce(inputs):
+    s, p = inputs
+    got = s * p
+    want = LocalizedScalar(s.num * p, s.denoms)
+    assert got.num == want.num and got.denoms == want.denoms
+    assert str(got) == str(want)
+    if not p.is_zero() and not s.num.is_zero():
+        assert_sympy_reduced(got, s.num * p, s.denom_poly())
+    else:
+        assert got.denoms == ()
