@@ -8,13 +8,18 @@ restriction, off-diagonal = signed h on twisted simple moves) and the
 orthogonality oracle (pairing against the opposite-chamber basis).
 """
 
+import random
+from fractions import Fraction
+
 from .diagrams import (
     TieDiagram,
     enumerate_bct,
     hanany_witten,
+    move_sign,
+    parse_bct_key,
+    simple_moves,
+    simple_moves_rel,
 )
-from fractions import Fraction
-
 from .exactalg import (
     LocalizedScalar,
     MultiPoly,
@@ -22,7 +27,8 @@ from .exactalg import (
     RingMap,
     factor_s_forms,
 )
-from .permcalc import Permutation
+from .memo import memo
+from .permcalc import Composition, Permutation, tilde_w
 from .stabloc import (
     opposite_chamber,
     stab_grid,
@@ -34,18 +40,13 @@ def fixed_points(diagram):
     return [TieDiagram.from_bct(diagram, A) for A in enumerate_bct(diagram)]
 
 
-_TANGENT_CACHE = {}
-
-
+@memo(lambda diagram, z, points: (diagram.key(), z.one_line))
 def _tangent_factors(diagram, z, points):
     """Tangent Euler classes, factored into S forms for localized division.
 
     Each tangent class is the product of the two opposite-chamber diagonal
     stable multiplicities; both are Euler classes, so they factor completely.
     """
-    ckey = (diagram.key(), z.one_line)
-    if ckey in _TANGENT_CACHE:
-        return _TANGENT_CACHE[ckey]
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))
     bound = max(diagram.labels) + 2
@@ -54,8 +55,7 @@ def _tangent_factors(diagram, z, points):
         key = D.key()
         c1, h1, f1 = factor_s_forms(grid_c[(key, key)], max_abs_m=bound)
         c2, h2, f2 = factor_s_forms(grid_op[(key, key)], max_abs_m=bound)
-        out[key] = (c1 * c2, h1 + h2, sorted(f1 + f2))
-    _TANGENT_CACHE[ckey] = out
+        out[key] = (c1 * c2, h1 + h2, tuple(sorted(f1 + f2)))
     return out
 
 
@@ -85,18 +85,13 @@ def _tangent_summands(a, bs, tangent):
     return out
 
 
-_PAIR_TERMS_CACHE = {}
-
-
+@memo(lambda diagram, z: (diagram.key(), z.one_line))
 def _pairing_terms(diagram, z):
     """Reduced localized summands Stab(D)|_T * Stab_op(D')|_T / e(T_T).
 
-    Returns {(D key, D' key): [(T key, LocalizedScalar)]}, shared by the Gram
-    matrix and every multiplication oracle on this diagram and chamber.
+    Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}, shared by the
+    Gram matrix and every multiplication oracle on this diagram and chamber.
     """
-    ckey = (diagram.key(), z.one_line)
-    if ckey in _PAIR_TERMS_CACHE:
-        return _PAIR_TERMS_CACHE[ckey]
     points = fixed_points(diagram)
     keys = [D.key() for D in points]
     grid_c = stab_grid(diagram, z)
@@ -120,8 +115,7 @@ def _pairing_terms(diagram, z):
             summands = _tangent_summands(a, [b for _, b in row], tangent[tk])
             for (dpk, _), summand in zip(row, summands):
                 out[(dk, dpk)].append((tk, summand))
-    _PAIR_TERMS_CACHE[ckey] = out
-    return out
+    return {pair: tuple(terms) for pair, terms in out.items()}
 
 
 def virtual_pairing(diagram, z, vec_a, vec_b, tangent=None):
@@ -231,8 +225,6 @@ def cm_matrix(diagram, z, j):
     """The Chevalley-Monk matrix of c_1(xi_j) from the combinatorial formula:
     interval-indexed twisted simple moves off the diagonal, tautological Chern
     restrictions on it."""
-    from .diagrams import simple_moves_rel
-
     points = fixed_points(diagram)
     basis = [D.key() for D in points]
     i = diagram.interval_index(j)
@@ -246,16 +238,9 @@ def cm_matrix(diagram, z, j):
     return CMMatrix(diagram, z, j, basis, entries)
 
 
-_CHERN_CACHE = {}
-
-
+@memo(lambda diagram, j: (diagram.key(), j))
 def _chern_table(diagram, j):
-    ckey = (diagram.key(), j)
-    if ckey not in _CHERN_CACHE:
-        _CHERN_CACHE[ckey] = {
-            D.key(): taut_chern(D, j) for D in fixed_points(diagram)
-        }
-    return _CHERN_CACHE[ckey]
+    return {D.key(): taut_chern(D, j) for D in fixed_points(diagram)}
 
 
 def cm_matrix_oracle(diagram, z, j):
@@ -279,9 +264,6 @@ def cm_matrix_oracle(diagram, z, j):
 def normalized_cm(diagram, j):
     """Conjugate the antidominant matrix by the signs (-1)^(l(tilde_w)); all
     off-diagonal entries become -h."""
-    from .permcalc import Composition, tilde_w
-    from .diagrams import parse_bct_key
-
     m = diagram.margins()
     comp_r, comp_c = Composition(m.r), Composition(m.c)
     base = cm_matrix(diagram, Permutation.identity(diagram.N), j)
@@ -325,8 +307,6 @@ def check_orthogonality(diagram, z):
 def check_divisibility(diagram):
     """h^2 divides the antidominant multiplicity at D' of Stab(D) whenever D'
     is neither D nor a simple move of D."""
-    from .diagrams import simple_moves
-
     z = Permutation.identity(diagram.N)
     points = fixed_points(diagram)
     grid = stab_grid(diagram, z)
@@ -345,8 +325,6 @@ def check_divisibility(diagram):
 def check_congruence(diagram):
     """Denominator-cleared h^2 approximation on every simple move pair:
     (t_{j1} - t_{j2}) iota_{D'} Stab(D) = sgn * h * iota_{D'} Stab(D') mod h^2."""
-    from .diagrams import move_sign, simple_moves
-
     z = Permutation.identity(diagram.N)
     N = diagram.N
     grid = stab_grid(diagram, z)
@@ -402,8 +380,6 @@ def verify(diagram, chambers=None, bundles=None, seed=0):
     Returns a report dict with one entry per check; each entry carries a
     boolean ``ok`` and a list of counterexample payloads.
     """
-    import random
-
     rng = random.Random(seed)
     N = diagram.N
     if chambers is None:

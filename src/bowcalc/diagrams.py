@@ -406,11 +406,6 @@ def separate(diagram):
             return d, moves
 
 
-def transport_tie(D, target_diagram):
-    """The tie diagram with the same BCT over a Hanany-Witten related diagram."""
-    return bct_to_tie(target_diagram, D.bct)
-
-
 # -- chargeless reduction ----------------------------------------------------
 
 
@@ -564,6 +559,29 @@ def resolve_tie(D, block_perms):
 # -- simple moves -------------------------------------------------------------
 
 
+def _scan_moves(table, row_pairs):
+    """Yield (moved table, (i1, i2, j1, j2)) for every simple move of the
+    table on the given row pairs i1 < i2: BCT entries 1 at (i1, j1),
+    (i2, j2) and 0 at (i1, j2), (i2, j1) for columns j1 < j2, swapped."""
+    N = len(table[0]) if table else 0
+    for i1, i2 in row_pairs:
+        r1, r2 = table[i1 - 1], table[i2 - 1]
+        for j1 in range(1, N + 1):
+            for j2 in range(j1 + 1, N + 1):
+                if (
+                    r1[j1 - 1] == 1
+                    and r2[j2 - 1] == 1
+                    and r1[j2 - 1] == 0
+                    and r2[j1 - 1] == 0
+                ):
+                    rows = [list(row) for row in table]
+                    rows[i1 - 1][j1 - 1] = 0
+                    rows[i2 - 1][j2 - 1] = 0
+                    rows[i1 - 1][j2 - 1] = 1
+                    rows[i2 - 1][j1 - 1] = 1
+                    yield tuple(tuple(row) for row in rows), (i1, i2, j1, j2)
+
+
 def simple_moves(D):
     """All tie diagrams reachable by one simple move, with the move window.
 
@@ -571,27 +589,9 @@ def simple_moves(D):
     (i1, j1), (i2, j2) and 0 at (i1, j2), (i2, j1) and swaps the pattern.
     Returns a list of (TieDiagram, (i1, i2, j1, j2)).
     """
-    bct = D.bct
-    M = len(bct)
-    N = len(bct[0]) if bct else 0
-    out = []
-    for i1 in range(1, M + 1):
-        for i2 in range(i1 + 1, M + 1):
-            for j1 in range(1, N + 1):
-                for j2 in range(j1 + 1, N + 1):
-                    if (
-                        bct[i1 - 1][j1 - 1] == 1
-                        and bct[i2 - 1][j2 - 1] == 1
-                        and bct[i1 - 1][j2 - 1] == 0
-                        and bct[i2 - 1][j1 - 1] == 0
-                    ):
-                        rows = [list(row) for row in bct]
-                        rows[i1 - 1][j1 - 1] = 0
-                        rows[i2 - 1][j2 - 1] = 0
-                        rows[i1 - 1][j2 - 1] = 1
-                        rows[i2 - 1][j1 - 1] = 1
-                        moved = tuple(tuple(row) for row in rows)
-                        out.append((bct_to_tie(D.diagram, moved), (i1, i2, j1, j2)))
+    M = len(D.bct)
+    pairs = ((i1, i2) for i1 in range(1, M + 1) for i2 in range(i1 + 1, M + 1))
+    out = [(bct_to_tie(D.diagram, moved), move) for moved, move in _scan_moves(D.bct, pairs)]
     out.sort(key=lambda pair: pair[0].key())
     return out
 
@@ -614,29 +614,14 @@ def simple_moves_rel(D, z, i):
     """
     M = len(D.bct)
     ztable = permute_bct_columns(D.bct, z)
-    out = []
-    for i1 in range(1, M + 1):
-        for i2 in range(i1 + 1, M + 1):
-            if not (i1 <= i < i2):
-                continue
-            N = len(ztable[0])
-            for j1 in range(1, N + 1):
-                for j2 in range(j1 + 1, N + 1):
-                    if (
-                        ztable[i1 - 1][j1 - 1] == 1
-                        and ztable[i2 - 1][j2 - 1] == 1
-                        and ztable[i1 - 1][j2 - 1] == 0
-                        and ztable[i2 - 1][j1 - 1] == 0
-                    ):
-                        rows = [list(row) for row in ztable]
-                        rows[i1 - 1][j1 - 1] = 0
-                        rows[i2 - 1][j2 - 1] = 0
-                        rows[i1 - 1][j2 - 1] = 1
-                        rows[i2 - 1][j1 - 1] = 1
-                        moved = tuple(tuple(row) for row in rows)
-                        sign = move_sign(ztable, (i1, i2, j1, j2))
-                        back = permute_bct_columns(moved, z.inverse())
-                        out.append((bct_to_tie(D.diagram, back), sign))
+    back = z.inverse()
+    pairs = (
+        (i1, i2) for i1 in range(1, M + 1) for i2 in range(i1 + 1, M + 1) if i1 <= i < i2
+    )
+    out = [
+        (bct_to_tie(D.diagram, permute_bct_columns(moved, back)), move_sign(ztable, move))
+        for moved, move in _scan_moves(ztable, pairs)
+    ]
     out.sort(key=lambda pair: pair[0].key())
     return out
 
@@ -646,13 +631,6 @@ def sign(D, D_moved):
     for Dp, move in simple_moves(D):
         if Dp == D_moved:
             return move_sign(D.bct, move)
-    raise DiagramError("second diagram is not a simple move of the first")
-
-
-def move_data(D, D_moved):
-    for Dp, move in simple_moves(D):
-        if Dp == D_moved:
-            return move
     raise DiagramError("second diagram is not a simple move of the first")
 
 

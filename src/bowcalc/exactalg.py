@@ -144,6 +144,8 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other, self.window)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
@@ -162,6 +164,8 @@ class MultiPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other, self.window)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -176,6 +180,8 @@ class MultiPoly:
             return MultiPoly._raw(
                 self.window, {m: c * other for m, c in self.terms.items()}
             )
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) < len(b):
@@ -320,10 +326,6 @@ class MultiPoly:
         except NotDivisibleError:
             return False
 
-    def shift_h(self, m):
-        """Multiply by h^m (m >= 0)."""
-        return self * MultiPoly.h(self.window) ** m
-
     # -- substitution ------------------------------------------------------
 
     def act_perm(self, w):
@@ -338,20 +340,6 @@ class MultiPoly:
                 new[w(i + 1) - 1] = mono[i]
             terms[tuple(new)] = coef
         return MultiPoly._raw(self.window, terms)
-
-    def embed(self, window, index_map=None):
-        """Re-window: t_i of self becomes t_{index_map[i]} in the larger window."""
-        if index_map is None:
-            index_map = {i: i for i in range(1, self.window + 1)}
-        terms = {}
-        for mono, coef in self.terms.items():
-            new = [0] * (window + 1)
-            new[-1] = mono[-1]
-            for i in range(self.window):
-                if mono[i]:
-                    new[index_map[i + 1] - 1] = mono[i]
-            terms[tuple(new)] = terms.get(tuple(new), 0) + coef
-        return MultiPoly(window, terms)
 
     # -- serialization -----------------------------------------------------
 
@@ -607,6 +595,9 @@ class LocalizedScalar:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

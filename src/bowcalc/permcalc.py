@@ -91,10 +91,6 @@ class Permutation:
         ol = self.one_line
         return [i + 1 for i in range(self.n - 1) if ol[i] > ol[i + 1]]
 
-    def act_values(self, other):
-        """Left action on values: same as self * other."""
-        return self * other
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.one_line == other.one_line
 
@@ -183,10 +179,6 @@ def reduced_word(w, rightmost=False):
         ol[i], ol[i + 1] = ol[i + 1], ol[i]
         rev.append(i + 1)
     return rev[::-1]
-
-
-def word_to_perm(n, word):
-    return Permutation.from_word(n, word)
 
 
 def beta_sequence(n, word):

@@ -25,6 +25,7 @@ from .diagrams import (
     enumerate_bct,
     essential,
     essential_tie,
+    parse_bct_key,
     permute_bct_columns,
     separate,
     sn_act,
@@ -36,6 +37,7 @@ from .exactalg import (
     MultiPoly,
     RingMap,
 )
+from .memo import memo
 from .permcalc import (
     Composition,
     Permutation,
@@ -169,6 +171,31 @@ def _block_root_denominator(delta, z):
     return sgn, forms
 
 
+def _coset_sums(delta, ws, targets):
+    """The localization sums over the cosets w S_delta, one dict per w of
+    ``ws``, for every target permutation w' at once: {w': sum over v of
+    prefactor(wv) * subword sum(wv, w') / prod((wv).alpha)} as
+    LocalizedScalars."""
+    n = delta.total
+    zero = LocalizedScalar.from_poly(MultiPoly.zero(n))
+    for w in ws:
+        acc = dict.fromkeys(targets, zero)
+        for v in young_elements(delta):
+            z = w * v
+            word = reduced_word(z)
+            sums = subword_sums(word, n, targets)
+            prefac = None
+            for tgt in acc:
+                num = sums[tgt]
+                if num.is_zero():
+                    continue
+                if prefac is None:
+                    prefac = loop_free_prefactor(n, word)
+                    dsgn, forms = _block_root_denominator(delta, z)
+                acc[tgt] = acc[tgt] + LocalizedScalar(prefac * num * dsgn, forms)
+        yield acc
+
+
 def stab_partial_flag(delta, w, w_prime):
     """Partial flag multiplicity via the full flag one.
 
@@ -178,19 +205,9 @@ def stab_partial_flag(delta, w, w_prime):
     """
     if not isinstance(delta, Composition):
         delta = Composition(delta)
-    n = delta.total
     sign = -1 if (coset_length(w_prime, delta) + w_prime.length()) % 2 else 1
-    total = LocalizedScalar.from_poly(MultiPoly.zero(n))
-    for v in young_elements(delta):
-        z = w * v
-        word = reduced_word(z)
-        num = subword_sums(word, n, [w_prime])[w_prime]
-        if num.is_zero():
-            continue
-        num = loop_free_prefactor(n, word) * num
-        dsgn, forms = _block_root_denominator(delta, z)
-        total = total + LocalizedScalar(num * (sign * dsgn), forms)
-    return total.to_poly()
+    (sums,) = _coset_sums(delta, [w], [w_prime])
+    return (sums[w_prime] * sign).to_poly()
 
 
 # -- resolution pipeline -------------------------------------------------------
@@ -220,56 +237,32 @@ def psi_map(diagram):
     return RingMap(m.n, N, images)
 
 
-_TILDE_GRID_CACHE = {}
-
-
+@memo(lambda diagram: diagram.key())
 def stab_tilde_grid(diagram):
     """Normalized antidominant multiplicities on a separated essential diagram.
 
     Returns {(eval key, arg key): MultiPoly} over all pairs of fixed points
     (keys are row-major BCT bit strings).
     """
-    ckey = diagram.key()
-    if ckey in _TILDE_GRID_CACHE:
-        return _TILDE_GRID_CACHE[ckey]
     if not diagram.is_separated() or not diagram.is_essential():
         raise DiagramError("stable grid expects a separated essential diagram")
     m = diagram.margins()
     N = diagram.N
     bcts = enumerate_bct(diagram)
-    grid = {}
     if m.n == 0:
-        grid[(bct_key(bcts[0]), bct_key(bcts[0]))] = MultiPoly.one(N)
-        _TILDE_GRID_CACHE[ckey] = grid
-        return grid
+        return {(bct_key(bcts[0]), bct_key(bcts[0])): MultiPoly.one(N)}
     comp_r, comp_c = Composition(m.r), Composition(m.c)
     targets = {bct_key(A): tilde_w(A, comp_r, comp_c) for A in bcts}
     target_perms = list(targets.values())
     norm = resolution_normalizer(diagram)
     psi = psi_map(diagram)
-    n = m.n
-    zero = LocalizedScalar.from_poly(MultiPoly.zero(n))
-    for A in bcts:
+    ws = (w_distinguished(A, comp_r, comp_c) for A in bcts)
+    grid = {}
+    for A, sums in zip(bcts, _coset_sums(comp_r, ws, target_perms)):
         ekey = bct_key(A)
-        w_eval = w_distinguished(A, comp_r, comp_c)
-        acc = {akey: zero for akey in targets}
-        for v in young_elements(comp_r):
-            z = w_eval * v
-            word = reduced_word(z)
-            sums = subword_sums(word, n, target_perms)
-            prefac = None
-            dsgn, forms = _block_root_denominator(comp_r, z)
-            for akey, tgt in targets.items():
-                num = sums[tgt]
-                if num.is_zero():
-                    continue
-                if prefac is None:
-                    prefac = loop_free_prefactor(n, word)
-                acc[akey] = acc[akey] + LocalizedScalar(prefac * num * dsgn, forms)
-        for akey, val in acc.items():
-            poly = val.to_poly()  # Polynomiality is a theorem; failure is a bug.
+        for akey, tgt in targets.items():
+            poly = sums[tgt].to_poly()  # Polynomiality is a theorem; failure is a bug.
             grid[(ekey, akey)] = psi(poly).exact_div(norm)
-    _TILDE_GRID_CACHE[ckey] = grid
     return grid
 
 
@@ -343,42 +336,34 @@ def _standardize(values):
     return Permutation(ol)
 
 
+def _chamber_base(diagram, z):
+    """Read the chamber z^-1.C_- of a separated essential diagram off one
+    antidominant grid, via the symmetric group action.
+
+    Returns (move, read): ``move`` sends a fixed point key to its key on
+    z.diagram, and read(move(e), move(a)) is the normalized multiplicity at
+    (e, a).
+    """
+    if z.is_identity():
+        grid = stab_tilde_grid(diagram)
+        return (lambda key: key), (lambda e, a: grid[(e, a)])
+    grid = stab_tilde_grid(sn_act(z, diagram))
+    M, N, back = diagram.M, diagram.N, z.inverse()
+
+    def move(key):
+        return bct_key(permute_bct_columns(parse_bct_key(key, M, N), z))
+
+    return move, (lambda e, a: grid[(e, a)].act_perm(back))
+
+
 def stab_tilde_chamber(diagram, z, ekey, akey):
     """Normalized multiplicity for the chamber z^-1.C_- on a separated
     essential diagram, via the symmetric group action."""
-    if z.is_identity():
-        grid = stab_tilde_grid(diagram)
-        return grid[(ekey, akey)]
-    zd = sn_act(z, diagram)
-    m = diagram.margins()
-    M, N = diagram.M, diagram.N
-    from .diagrams import parse_bct_key
-
-    A_e = parse_bct_key(ekey, M, N)
-    A_a = parse_bct_key(akey, M, N)
-    grid = stab_tilde_grid(zd)
-    value = grid[
-        (bct_key(permute_bct_columns(A_e, z)), bct_key(permute_bct_columns(A_a, z)))
-    ]
-    return value.act_perm(z.inverse())
+    move, read = _chamber_base(diagram, z)
+    return read(move(ekey), move(akey))
 
 
-class StabValue:
-    """A stable multiplicity together with its normalization flag."""
-
-    __slots__ = ("value", "normalized")
-
-    def __init__(self, value, normalized):
-        self.value = value
-        self.normalized = normalized
-
-    def __repr__(self):
-        return "StabValue(%s, normalized=%s)" % (self.value, self.normalized)
-
-
-_STAB_GRID_CACHE = {}
-
-
+@memo(lambda diagram, z, normalized=False: (diagram.key(), z.one_line, normalized))
 def stab_grid(diagram, z, normalized=False):
     """All multiplicities {(eval key, arg key): MultiPoly} for the chamber
     z^-1.C_-, for any admissible diagram.
@@ -392,9 +377,6 @@ def stab_grid(diagram, z, normalized=False):
     d = diagram
     if z.n != d.N:
         raise DiagramError("chamber window %d, diagram has %d blue lines" % (z.n, d.N))
-    ckey = (d.key(), z.one_line, normalized)
-    if ckey in _STAB_GRID_CACHE:
-        return _STAB_GRID_CACHE[ckey]
     d_sep, moves = separate(d)
     m = d_sep.margins()
     N = d.N
@@ -402,9 +384,7 @@ def stab_grid(diagram, z, normalized=False):
     keys = [bct_key(A) for A in bcts]
 
     if m.n == 0:
-        grid = {(keys[0], keys[0]): MultiPoly.one(N)}
-        _STAB_GRID_CACHE[ckey] = grid
-        return grid
+        return {(keys[0], keys[0]): MultiPoly.one(N)}
 
     sample = TieDiagram.from_bct(d_sep, bcts[0])
     _, kept_rows, kept_cols = essential_tie(sample)
@@ -423,34 +403,16 @@ def stab_grid(diagram, z, normalized=False):
             shifts[j0] = shifts.get(j0, 0) + 1
         post = RingMap.h_shift(N, shifts)
 
-    def ess_key(A):
-        rows = [i - 1 for i in kept_rows]
-        cols = [j - 1 for j in kept_cols]
-        return bct_key(tuple(tuple(A[i][j] for j in cols) for i in rows))
-
-    from .diagrams import parse_bct_key
-
-    if z_ess.is_identity():
-        base = stab_tilde_grid(d_ess)
-        transport = None
-    else:
-        base = stab_tilde_grid(sn_act(z_ess, d_ess))
-        transport = z_ess.inverse()
-
-    def base_key(A):
-        key = ess_key(A)
-        if transport is None:
-            return key
-        return bct_key(permute_bct_columns(parse_bct_key(key, d_ess.M, n_ess), z_ess))
-
+    move, read = _chamber_base(d_ess, z_ess)
+    rows = [i - 1 for i in kept_rows]
+    cols = [j - 1 for j in kept_cols]
+    base_keys = [
+        move(bct_key(tuple(tuple(A[i][j] for j in cols) for i in rows))) for A in bcts
+    ]
     grid = {}
-    for Ae, ekey in zip(bcts, keys):
-        eperm = base_key(Ae)
-        for Aa, akey in zip(bcts, keys):
-            core = base[(eperm, base_key(Aa))]
-            if transport is not None:
-                core = core.act_perm(transport)
-            core = embed_map(core)
+    for ekey, e in zip(keys, base_keys):
+        for akey, a in zip(keys, base_keys):
+            core = embed_map(read(e, a))
             if normalized:
                 value = core * iota
             else:
@@ -458,7 +420,6 @@ def stab_grid(diagram, z, normalized=False):
             if post is not None:
                 value = post(value)
             grid[(ekey, akey)] = value
-    _STAB_GRID_CACHE[ckey] = grid
     return grid
 
 

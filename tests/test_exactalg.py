@@ -252,3 +252,18 @@ def test_factor_s_forms():
     assert forms == [LinearForm(1, 2, 1), LinearForm(1, 3), LinearForm(1, 3)]
     with pytest.raises(NotDivisibleError):
         factor_s_forms(t1 * t2 + 1)
+
+
+def test_poly_with_localized_operand_defers_to_localized():
+    p = MultiPoly.t(2, 2)
+    s = LocalizedScalar(MultiPoly.t(1, 2), [LinearForm(1, 2)])
+    assert p * s == s * p
+    assert p + s == s + p
+    assert p - s == -(s - p)
+    assert (p - s) + s == p
+    with pytest.raises(WindowMismatchError):
+        p * MultiPoly.t(1, 3)
+    with pytest.raises(WindowMismatchError):
+        p + MultiPoly.t(1, 3)
+    with pytest.raises(TypeError):
+        p * "t1"

@@ -1,0 +1,81 @@
+"""The memoized tables are shared read-only: a repeated call returns the same
+object, a caller cannot change what later callers read, and a failed call
+stores nothing."""
+
+import pytest
+
+from bowcalc.chevalley import _chern_table, _pairing_terms, _tangent_factors, fixed_points
+from bowcalc.diagrams import BraneDiagram, DiagramError, essential, separate
+from bowcalc.exactalg import MultiPoly
+from bowcalc.permcalc import Permutation
+from bowcalc.stabloc import stab_grid, stab_tilde_grid
+
+DIAGRAM = "0/1/2\\1\\0"
+
+
+def _snapshot(table):
+    return {k: str(v) for k, v in table.items()}
+
+
+def test_stab_grid_is_shared_and_read_only():
+    d = BraneDiagram.parse(DIAGRAM)
+    z = Permutation.identity(d.N)
+    g = stab_grid(d, z)
+    before = _snapshot(g)
+    k = next(iter(g))
+    with pytest.raises(TypeError):
+        g[k] = MultiPoly.zero(d.N)
+    with pytest.raises(TypeError):
+        del g[k]
+    again = stab_grid(d, z)
+    assert again is g
+    assert _snapshot(again) == before
+    assert stab_grid(d, z, normalized=True) is stab_grid(d, z, normalized=True)
+    assert stab_grid(d, z, normalized=True) is not g
+
+
+def test_stab_tilde_grid_is_shared_and_read_only():
+    d = essential(separate(BraneDiagram.parse("0/1/2/4\\3\\2\\1\\0"))[0])[0]
+    g = stab_tilde_grid(d)
+    before = _snapshot(g)
+    k = next(iter(g))
+    with pytest.raises(TypeError):
+        g[k] = MultiPoly.zero(d.N)
+    assert stab_tilde_grid(d) is g
+    assert _snapshot(stab_tilde_grid(d)) == before
+
+
+def test_pairing_tables_are_shared_and_read_only():
+    d = BraneDiagram.parse(DIAGRAM)
+    z = Permutation.identity(d.N)
+    terms = _pairing_terms(d, z)
+    before = {k: [(tk, str(s)) for tk, s in v] for k, v in terms.items()}
+    k = next(iter(terms))
+    with pytest.raises(TypeError):
+        terms[k] = ()
+    assert all(isinstance(v, tuple) for v in terms.values())
+    again = _pairing_terms(d, z)
+    assert again is terms
+    assert {k: [(tk, str(s)) for tk, s in v] for k, v in again.items()} == before
+
+    tangent = _tangent_factors(d, z, fixed_points(d))
+    with pytest.raises(TypeError):
+        tangent[k[0]] = None
+    assert all(isinstance(forms, tuple) for _, _, forms in tangent.values())
+    assert _tangent_factors(d, z, fixed_points(d)) is tangent
+
+    chern = _chern_table(d, 2)
+    with pytest.raises(TypeError):
+        chern[k[0]] = MultiPoly.zero(d.N)
+    assert _chern_table(d, 2) is chern
+
+
+def test_failed_call_is_not_stored():
+    d = BraneDiagram.parse(DIAGRAM)
+    for _ in range(2):
+        with pytest.raises(DiagramError):
+            stab_grid(d, Permutation.identity(d.N + 1))
+    not_separated = BraneDiagram.parse("0\\2/3\\4\\4/3\\2/0")
+    for _ in range(2):
+        with pytest.raises(DiagramError):
+            stab_tilde_grid(not_separated)
