@@ -8,6 +8,7 @@ restriction, off-diagonal = signed h on twisted simple moves) and the
 orthogonality oracle (pairing against the opposite-chamber basis).
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -109,8 +110,6 @@ def _pairing_terms(diagram, z):
             a = grid_c[(tk, dk)]
             if a.is_zero():
                 continue
-            if tangent[tk][1]:
-                raise NonPolynomialError("tangent Euler class has a pure h factor")
             row = op_rows[tk]
             summands = _tangent_summands(a, [b for _, b in row], tangent[tk])
             for (dpk, _), summand in zip(row, summands):
@@ -118,15 +117,14 @@ def _pairing_terms(diagram, z):
     return {pair: tuple(terms) for pair, terms in out.items()}
 
 
-def virtual_pairing(diagram, z, vec_a, vec_b, tangent=None):
+def virtual_pairing(diagram, z, vec_a, vec_b):
     """sum over fixed points of a_p * b_p / e(T_p), as a LocalizedScalar.
 
     ``vec_a`` and ``vec_b`` map fixed point keys to polynomials (the
     equivariant multiplicities of the two classes).
     """
     points = fixed_points(diagram)
-    if tangent is None:
-        tangent = _tangent_factors(diagram, z, points)
+    tangent = _tangent_factors(diagram, z, points)
     total = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
     for D in points:
         key = D.key()
@@ -176,25 +174,21 @@ class CMMatrix:
             entries[(key, key)] = self.entry(key, key) + scalar
         return CMMatrix(self.diagram, self.chamber, self.bundle, self.basis, entries)
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         keys = set(self.entries) | set(other.entries)
         return CMMatrix(
             self.diagram,
             self.chamber,
             self.bundle,
             self.basis,
-            {k: self.entry(*k) + other.entry(*k) for k in keys},
+            {k: op(self.entry(*k), other.entry(*k)) for k in keys},
         )
 
+    def __add__(self, other):
+        return self._entrywise(operator.add, other)
+
     def __sub__(self, other):
-        keys = set(self.entries) | set(other.entries)
-        return CMMatrix(
-            self.diagram,
-            self.chamber,
-            self.bundle,
-            self.basis,
-            {k: self.entry(*k) - other.entry(*k) for k in keys},
-        )
+        return self._entrywise(operator.sub, other)
 
     def compose(self, other):
         """Matrix product (entries are polynomials)."""

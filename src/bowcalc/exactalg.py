@@ -12,13 +12,17 @@ the plain ring we provide the pieces the localization calculus needs:
 * ``Character`` -- finite multisets of torus weights with Euler classes and
   chamber splitting.
 
-Everything is immutable after construction and all arithmetic is exact.
+Everything is immutable after construction, down to a polynomial's term
+table (a read-only ``MappingProxyType``) and a form (a tuple), so a value
+shared through a cache cannot be changed by any caller.  All arithmetic is
+exact.
 """
 
 import heapq
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import reduce
+from types import MappingProxyType
 
 
 class WindowMismatchError(ValueError):
@@ -52,8 +56,8 @@ def _mono_key(mono):
 class MultiPoly:
     """Polynomial in t_1..t_window and h with rational coefficients.
 
-    Terms are stored as a dict mapping exponent tuples of length window+1
-    (t exponents first, h exponent last) to nonzero ints or Fractions.
+    Terms are stored as a read-only mapping from exponent tuples of length
+    window+1 (t exponents first, h exponent last) to nonzero ints or Fractions.
     """
 
     __slots__ = ("window", "terms", "_hash")
@@ -75,7 +79,7 @@ class MultiPoly:
                         elif isinstance(coef, float):
                             raise TypeError("floating point coefficients are not allowed")
                     clean[mono] = coef
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -85,7 +89,7 @@ class MultiPoly:
         # internal: terms must be clean (no zeros, int/Fraction coefficients)
         self = cls.__new__(cls)
         self.window = window
-        self.terms = terms
+        self.terms = MappingProxyType(terms)
         self._hash = None
         return self
 
@@ -147,7 +151,7 @@ class MultiPoly:
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for mono, coef in other.terms.items():
             s = terms.get(mono, 0) + coef
             if s:
@@ -287,7 +291,7 @@ class MultiPoly:
         def heap_key(m):
             return (-sum(m), tuple(-e for e in m))
 
-        rem = dict(self.terms)
+        rem = self.terms.copy()
         lm, lc = q.leading()
         qterms = list(q.terms.items())
         heap = [(heap_key(m), m) for m in rem]
@@ -332,14 +336,7 @@ class MultiPoly:
         """Variable permutation t_i -> t_{w(i)}, h fixed (a ring automorphism)."""
         if w.n != self.window:
             raise WindowMismatchError("permutation window %d vs %d" % (w.n, self.window))
-        terms = {}
-        for mono, coef in self.terms.items():
-            new = [0] * (self.window + 1)
-            new[-1] = mono[-1]
-            for i in range(self.window):
-                new[w(i + 1) - 1] = mono[i]
-            terms[tuple(new)] = coef
-        return MultiPoly._raw(self.window, terms)
+        return RingMap.renumber(self.window, self.window, dict(enumerate(w.one_line, 1)))(self)
 
     # -- serialization -----------------------------------------------------
 
@@ -391,23 +388,22 @@ def poly_product(polys, window):
     return reduce(lambda a, b: a * b, polys, MultiPoly.one(window))
 
 
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "i j m")):
     """The form t_i - t_j + m*h with i < j (an element of the set S).
 
+    A tuple (i, j, m): immutable, hashed and ordered by its fields.
     Normalization flips (i, j) and negates m when needed; the overall sign is
     the caller's to track.
     """
 
-    __slots__ = ("i", "j", "m")
+    __slots__ = ()
 
-    def __init__(self, i, j, m=0):
+    def __new__(cls, i, j, m=0):
         if i == j:
             raise ValueError("degenerate form t_i - t_i")
         if i > j:
             raise ValueError("use normalized(); require i < j")
-        self.i = i
-        self.j = j
-        self.m = m
+        return super().__new__(cls, i, j, m)
 
     @classmethod
     def normalized(cls, i, j, m=0):
@@ -418,18 +414,6 @@ class LinearForm:
 
     def as_poly(self, window):
         return MultiPoly.linear(window, {self.i: 1, self.j: -1}, self.m)
-
-    def key(self):
-        return (self.i, self.j, self.m)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __str__(self):
         if self.m == 0:
@@ -448,13 +432,25 @@ class LinearForm:
 _EVAL_BASE = (1009, 2003, 3001, 4001, 5003, 6007, 7001, 8009, 9001, 10007)
 
 
+def _vanishes_on(p, form):
+    """Whether p vanishes at one chosen point of the hyperplane of ``form``
+    (h = 1).  Every multiple of the form does, so a nonzero value rules the
+    form out before any trial division."""
+    point = [_EVAL_BASE[k % len(_EVAL_BASE)] * (k + 1) for k in range(p.window)]
+    point[form.i - 1] = point[form.j - 1] - form.m
+    return p.evaluate(point, 1) == 0
+
+
 def factor_s_forms(p, max_abs_m=None):
     """Factor p as constant * h^k * product of S-linear forms.
 
-    Candidates t_i - t_j + m*h are pre-screened by evaluating p on a point of
-    the corresponding hyperplane (cheap), then confirmed by trial division.
-    Returns (constant, h power, sorted list of LinearForm); raises
-    NotDivisibleError if a non-constant part remains.
+    Candidates t_i - t_j + m*h with |m| <= max_abs_m (doubling up to the
+    degree of p if that is not enough; max(2, degree) when not given) are
+    screened by ``_vanishes_on``, then confirmed by trial division.  One scan
+    per bound suffices: a form that does not divide the remainder cannot
+    divide a later remainder, which divides it.  Returns (constant, h power,
+    sorted list of LinearForm); raises NotDivisibleError if a non-constant
+    part remains.
     """
     window = p.window
     if p.is_zero():
@@ -466,42 +462,22 @@ def factor_s_forms(p, max_abs_m=None):
     factors = []
     bound = max_abs_m if max_abs_m is not None else max(2, rest.degree())
     cap = max(bound, rest.degree())
-    h_val = 1
-    while rest.degree() > 0:
-        progress = False
-        base = [_EVAL_BASE[k % len(_EVAL_BASE)] * (k + 1) for k in range(window)]
+    while True:
         for i in range(1, window + 1):
             for j in range(i + 1, window + 1):
                 for m in range(-bound, bound + 1):
-                    point = list(base)
-                    point[i - 1] = point[j - 1] - m * h_val
-                    if rest.evaluate(point, h_val) != 0:
-                        continue
                     form = LinearForm(i, j, m)
-                    fp = form.as_poly(window)
-                    while True:
+                    while _vanishes_on(rest, form):
                         try:
-                            rest = rest.exact_div(fp)
+                            rest = rest.exact_div(form.as_poly(window))
                         except NotDivisibleError:
                             break
                         factors.append(form)
-                        progress = True
-                        if rest.degree() <= 0:
-                            break
-                    if rest.degree() <= 0:
-                        break
-                if rest.degree() <= 0:
-                    break
-            if rest.degree() <= 0:
-                break
         if rest.degree() <= 0:
-            break
-        if not progress:
-            if bound < cap:
-                bound = min(cap, bound * 2)
-                continue
+            return rest.constant_value(), hpow, sorted(factors)
+        if bound >= cap:
             raise NotDivisibleError("not a product of S-linear forms: %s" % rest)
-    return rest.constant_value(), hpow, sorted(factors)
+        bound = min(cap, bound * 2)
 
 
 def _cancel_forms(num, forms):
@@ -515,17 +491,12 @@ def _cancel_forms(num, forms):
     if num.is_zero():
         return num, ()
     remaining = []
-    window = num.window
-    base = [_EVAL_BASE[k % len(_EVAL_BASE)] * (k + 1) for k in range(window)]
     for form in forms:
-        # a factor must vanish on its hyperplane; screen before dividing
-        point = list(base)
-        point[form.i - 1] = point[form.j - 1] - form.m
-        if num.evaluate(point, 1) != 0:
+        if not _vanishes_on(num, form):
             remaining.append(form)
             continue
         try:
-            num = num.exact_div(form.as_poly(window))
+            num = num.exact_div(form.as_poly(num.window))
         except NotDivisibleError:
             remaining.append(form)
     return num, tuple(remaining)
@@ -544,7 +515,7 @@ class LocalizedScalar:
 
     def __init__(self, num, denoms=(), reduce_now=True):
         self.num = num
-        self.denoms = tuple(sorted(denoms, key=lambda f: f.key()))
+        self.denoms = tuple(sorted(denoms))
         if reduce_now:
             self._reduce()
         elif num.is_zero():
@@ -704,7 +675,11 @@ class RingMap:
             out = LocalizedScalar.from_poly(self(p.num))
             for form in p.denoms:
                 img = self(form.as_poly(p.window))
-                c, hpow, forms = factor_s_forms(img)
+                # the image is linear, so c*(t_a - t_b + m*h) shows its |m| as
+                # |h coefficient| / |t coefficient|
+                t_coefs = [abs(c) for mono, c in img.terms.items() if any(mono[:-1])]
+                h_coef = abs(img.terms.get((0,) * self.target + (1,), 0))
+                c, hpow, forms = factor_s_forms(img, max_abs_m=h_coef // min(t_coefs, default=1))
                 if hpow or len(forms) != 1:
                     raise NonPolynomialError("denominator image is not a single S form")
                 out = LocalizedScalar(out.num * (Fraction(1) / c), out.denoms + (forms[0],))
@@ -804,27 +779,24 @@ class Character:
                 out[tuple(a + b for a, b in zip(w1, w2))] += m1 * m2
         return Character(self.window, out)
 
+    def _poly(self, w):
+        """The weight w as a linear polynomial."""
+        return MultiPoly.linear(self.window, {i + 1: c for i, c in enumerate(w[:-1]) if c}, w[-1])
+
     def euler(self):
         """Product of linear polynomials of all weights (with multiplicity)."""
         out = MultiPoly.one(self.window)
         for w, mult in self.weights.items():
             if not any(w):
                 raise ZeroWeightError("character contains a zero weight")
-            p = MultiPoly.linear(
-                self.window,
-                {i + 1: w[i] for i in range(self.window) if w[i]},
-                w[-1],
-            )
-            out = out * p ** mult
+            out = out * self._poly(w) ** mult
         return out
 
     def weight_sum(self):
         """First Chern class: the sum of all weights as a polynomial."""
         out = MultiPoly.zero(self.window)
         for w, mult in self.weights.items():
-            out = out + MultiPoly.linear(
-                self.window, {i + 1: w[i] for i in range(self.window) if w[i]}, w[-1]
-            ) * mult
+            out = out + self._poly(w) * mult
         return out
 
     def split_by_chamber(self, z):
@@ -864,13 +836,6 @@ class Character:
         )
 
     def __str__(self):
-        names = ["t%d" % (i + 1) for i in range(self.window)] + ["h"]
-        pieces = []
-        for w in self.sorted_weights():
-            lin = MultiPoly.linear(
-                self.window, {i + 1: w[i] for i in range(self.window) if w[i]}, w[-1]
-            )
-            pieces.append(str(lin) if not lin.is_zero() else "0")
-        return "{" + ", ".join(pieces) + "}"
+        return "{" + ", ".join(str(self._poly(w)) for w in self.sorted_weights()) + "}"
 
     __repr__ = __str__

@@ -10,7 +10,9 @@ def memo(key):
     """Memoize a function under ``key(*args, **kwargs)``.
 
     Each result is stored once and read-only: a dict result is kept behind a
-    ``MappingProxyType``, so no caller can change what later callers read.
+    ``MappingProxyType``, and the values in it are immutable down to a
+    polynomial's term table and a linear form, so no caller can change what
+    later callers read.
     A repeated call returns the identical object; a call that raises stores
     nothing.  The store has no bound: every workload reads a handful of
     tables again and again, and evicting one would rebuild it.

@@ -18,12 +18,13 @@ The stable basis values are computed by a resolution pipeline:
 All results are exact polynomials in Q[t_1..t_N, h].
 """
 
+from collections import Counter
+
 from .diagrams import (
     DiagramError,
     TieDiagram,
     bct_key,
     enumerate_bct,
-    essential,
     essential_tie,
     parse_bct_key,
     permute_bct_columns,
@@ -317,10 +318,7 @@ def chargeless_character(diagram):
 
 def chargeless_euler(diagram, z):
     """Euler class of the negative part of the chargeless reduction character."""
-    char = chargeless_character(diagram)
-    if not char.weights:
-        return MultiPoly.one(diagram.N)
-    pos, neg = char.split_by_chamber(z)
+    pos, neg = chargeless_character(diagram).split_by_chamber(z)
     return neg.euler()
 
 
@@ -340,27 +338,26 @@ def _chamber_base(diagram, z):
     """Read the chamber z^-1.C_- of a separated essential diagram off one
     antidominant grid, via the symmetric group action.
 
-    Returns (move, read): ``move`` sends a fixed point key to its key on
-    z.diagram, and read(move(e), move(a)) is the normalized multiplicity at
-    (e, a).
+    Returns (move, grid, back): ``move`` sends a fixed point key to its key on
+    z.diagram, and the RingMap ``back`` (t_i -> t_{z^-1(i)}) takes
+    grid[(move(e), move(a))] to the normalized multiplicity at (e, a).
     """
     if z.is_identity():
-        grid = stab_tilde_grid(diagram)
-        return (lambda key: key), (lambda e, a: grid[(e, a)])
-    grid = stab_tilde_grid(sn_act(z, diagram))
-    M, N, back = diagram.M, diagram.N, z.inverse()
+        return (lambda key: key), stab_tilde_grid(diagram), RingMap.identity(diagram.N)
+    M, N = diagram.M, diagram.N
 
     def move(key):
         return bct_key(permute_bct_columns(parse_bct_key(key, M, N), z))
 
-    return move, (lambda e, a: grid[(e, a)].act_perm(back))
+    back = RingMap.renumber(N, N, dict(enumerate(z.inverse().one_line, 1)))
+    return move, stab_tilde_grid(sn_act(z, diagram)), back
 
 
 def stab_tilde_chamber(diagram, z, ekey, akey):
     """Normalized multiplicity for the chamber z^-1.C_- on a separated
     essential diagram, via the symmetric group action."""
-    move, read = _chamber_base(diagram, z)
-    return read(move(ekey), move(akey))
+    move, grid, back = _chamber_base(diagram, z)
+    return back(grid[(move(ekey), move(akey))])
 
 
 @memo(lambda diagram, z, normalized=False: (diagram.key(), z.one_line, normalized))
@@ -372,7 +369,10 @@ def stab_grid(diagram, z, normalized=False):
     move), chargeless reduction (Euler factor of the constant normal
     character), chamber transport to antidominant via the symmetric group
     action, the resolution formula, and finally division by the normalization
-    Euler class unless ``normalized``.
+    Euler class unless ``normalized``.  The three variable substitutions
+    (chamber renumbering, essential embedding, h shift) are ring
+    homomorphisms, the shift an automorphism, so they are composed into one
+    RingMap applied once per entry, and the Euler classes are mapped alike.
     """
     d = diagram
     if z.n != d.N:
@@ -387,23 +387,20 @@ def stab_grid(diagram, z, normalized=False):
         return {(keys[0], keys[0]): MultiPoly.one(N)}
 
     sample = TieDiagram.from_bct(d_sep, bcts[0])
-    _, kept_rows, kept_cols = essential_tie(sample)
-    d_ess = essential(d_sep)[0]
+    sample_ess, kept_rows, kept_cols = essential_tie(sample)
+    d_ess = sample_ess.diagram
     n_ess = d_ess.N
     z_ess = _standardize([z(k) for k in kept_cols])
-    embed_map = RingMap.renumber(
-        n_ess, N, {j: kept_cols[j - 1] for j in range(1, n_ess + 1)}
-    )
+    lift = RingMap.renumber(n_ess, N, {j: kept_cols[j - 1] for j in range(1, n_ess + 1)})
     iota = chargeless_euler(d_sep, z)
-    norm_euler = embed_map(n_euler(d_ess, z_ess, "-"))
-    post = None
     if moves:
-        shifts = {}
-        for _, j0, _ in moves:
-            shifts[j0] = shifts.get(j0, 0) + 1
-        post = RingMap.h_shift(N, shifts)
+        shift = RingMap.h_shift(N, Counter(j0 for _, j0, _ in moves))
+        lift = shift.compose(lift)
+        iota = shift(iota)
+    norm_euler = lift(n_euler(d_ess, z_ess, "-"))
 
-    move, read = _chamber_base(d_ess, z_ess)
+    move, base, back = _chamber_base(d_ess, z_ess)
+    sub = lift.compose(back)
     rows = [i - 1 for i in kept_rows]
     cols = [j - 1 for j in kept_cols]
     base_keys = [
@@ -412,14 +409,10 @@ def stab_grid(diagram, z, normalized=False):
     grid = {}
     for ekey, e in zip(keys, base_keys):
         for akey, a in zip(keys, base_keys):
-            core = embed_map(read(e, a))
-            if normalized:
-                value = core * iota
-            else:
-                value = core.exact_div(norm_euler) * iota
-            if post is not None:
-                value = post(value)
-            grid[(ekey, akey)] = value
+            value = sub(base[(e, a)])
+            if not normalized:
+                value = value.exact_div(norm_euler)
+            grid[(ekey, akey)] = value * iota
     return grid
 
 

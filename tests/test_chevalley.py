@@ -197,3 +197,22 @@ def test_gram_is_identity_on_tiny_diagram():
         gram = gram_matrix(d, z)
         for (a, b), v in gram.items():
             assert v == (1 if a == b else 0)
+
+
+def test_gram_entries_equal_virtual_pairings():
+    # verify (through the Gram matrix) and `bowcalc pair` (through
+    # virtual_pairing) divide the tangent classes the same way
+    for text in (RES_DIAGRAM, "0/1/3\\2/3\\2\\0"):
+        d = BraneDiagram.parse(text)
+        pts = fixed_points(d)
+        for z in (Permutation.identity(3), W("231")):
+            grid = stab_grid(d, z)
+            grid_op = stab_grid(d, opposite_chamber(z))
+            gram = gram_matrix(d, z)
+            for Da in pts:
+                for Db in pts:
+                    vec_a = {T.key(): grid[(T.key(), Da.key())] for T in pts}
+                    vec_b = {T.key(): grid_op[(T.key(), Db.key())] for T in pts}
+                    value = virtual_pairing(d, z, vec_a, vec_b)
+                    assert value == gram[(Da.key(), Db.key())]
+                    assert str(value) == str(gram[(Da.key(), Db.key())])

@@ -254,6 +254,15 @@ def test_factor_s_forms():
         factor_s_forms(t1 * t2 + 1)
 
 
+def test_ring_map_of_localized_scalar_finds_large_shift():
+    # the image t1 - t2 + 3h lies outside the default |m| <= max(2, degree)
+    s = LocalizedScalar(MultiPoly.one(2), [LinearForm(1, 2)])
+    image = RingMap.h_shift(2, {1: 3})(s)
+    assert image.num == MultiPoly.one(2)
+    assert image.denoms == (LinearForm(1, 2, 3),)
+    assert str(image) == "(1) / (t1-t2+3*h)"
+
+
 def test_poly_with_localized_operand_defers_to_localized():
     p = MultiPoly.t(2, 2)
     s = LocalizedScalar(MultiPoly.t(1, 2), [LinearForm(1, 2)])

@@ -10,22 +10,32 @@ a*b / e(T) and is in lowest terms.  sympy is used only in tests.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
 from bowcalc.chevalley import _tangent_summands
-from bowcalc.exactalg import LinearForm, LocalizedScalar, MultiPoly, poly_product
+from bowcalc.exactalg import (
+    LinearForm,
+    LocalizedScalar,
+    MultiPoly,
+    NotDivisibleError,
+    factor_s_forms,
+    poly_product,
+)
 
 PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
-def forms(window):
+def forms(window, max_abs_m=1):
     # a small pool, so that numerators and denominators share forms often
     pairs = [(i, j) for i in range(1, window + 1) for j in range(i + 1, window + 1)]
     return st.builds(
-        lambda ij, m: LinearForm(ij[0], ij[1], m), st.sampled_from(pairs), st.integers(-1, 1)
+        lambda ij, m: LinearForm(ij[0], ij[1], m),
+        st.sampled_from(pairs),
+        st.integers(-max_abs_m, max_abs_m),
     )
 
 
@@ -43,6 +53,7 @@ WINDOWS = (2, 3)
 FORMS = {w: forms(w) for w in WINDOWS}
 NONZERO = {w: coefficient_dicts(w, 1) for w in WINDOWS}
 ANY = {w: coefficient_dicts(w, 0) for w in WINDOWS}
+WIDE_FORMS = {w: forms(w, 3) for w in (2, 3, 4)}
 
 
 @st.composite
@@ -123,3 +134,24 @@ def test_localized_times_poly_equals_product_then_reduce(inputs):
         assert_sympy_reduced(got, s.num * p, s.denom_poly())
     else:
         assert got.denoms == ()
+
+
+@st.composite
+def s_products(draw):
+    """const * h^k * a product of S forms, with its factors."""
+    window = draw(st.sampled_from(sorted(WIDE_FORMS)))
+    const = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+    hpow = draw(st.integers(0, 2))
+    factors = sorted(draw(st.lists(WIDE_FORMS[window], max_size=4)))
+    p = poly_product([f.as_poly(window) for f in factors], window)
+    return p * MultiPoly.h(window) ** hpow * const, (const, hpow, factors)
+
+
+@PROPERTY
+@given(s_products())
+def test_factor_s_forms_recovers_the_factors(built):
+    p, want = built
+    assert factor_s_forms(p, max_abs_m=3) == want
+    window = p.window
+    with pytest.raises(NotDivisibleError):
+        factor_s_forms(p * (MultiPoly.t(1, window) + MultiPoly.t(2, window)), max_abs_m=3)

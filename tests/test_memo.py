@@ -70,6 +70,25 @@ def test_pairing_tables_are_shared_and_read_only():
     assert _chern_table(d, 2) is chern
 
 
+def test_shared_values_are_immutable():
+    d = BraneDiagram.parse(DIAGRAM)
+    z = Permutation.identity(d.N)
+    key = ("0110", "0110")
+    value = stab_grid(d, z)[key]
+    assert str(value) == "t1 - t2"
+    with pytest.raises(AttributeError):
+        value.terms.clear()
+    with pytest.raises(TypeError):
+        value.terms[next(iter(value.terms))] = 0
+    assert str(stab_grid(d, z)[key]) == "t1 - t2"
+
+    tangent = _tangent_factors(d, z, fixed_points(d))
+    form = tangent[key[0]][2][0]
+    with pytest.raises(AttributeError):
+        form.m = 5
+    assert _tangent_factors(d, z, fixed_points(d))[key[0]][2][0] == form
+
+
 def test_failed_call_is_not_stored():
     d = BraneDiagram.parse(DIAGRAM)
     for _ in range(2):

@@ -1,4 +1,8 @@
+import hashlib
+import itertools
 import random
+
+import pytest
 
 from bowcalc.diagrams import BraneDiagram, TieDiagram, enumerate_bct, flag_diagram, flag_tie
 from bowcalc.exactalg import MultiPoly, RingMap, factor_s_forms
@@ -348,3 +352,29 @@ def test_normalized_grid_relation():
         e = n_euler(d, z, "-")
         for key in plain:
             assert normalized[key] == plain[key] * e
+
+
+# SHA-256 of every grid entry in every chamber, both normalizations: between
+# them the three diagrams take every transport step (twisted chambers, one
+# Hanany-Witten move; a chargeless blue line; two moves and a chargeless line)
+TRANSPORT_DIGESTS = {
+    "0/1/3\\2/3\\2\\0": "b24367ce8f8eff0289b899ae4c0e9a1da491d3ab7ff0a2100a93cc2249357fbe",
+    "0/1/2/3\\2\\1\\1\\0": "403e408a733bed499ea0acfc2d59d278d7af6d5b1a7ea2ec2408a1c300b40496",
+    "0/1/2\\1\\2/1\\0": "67fa032c1904e7d703316a32c8f2edbc3ce244fb75b75af73015c1d8f341793a",
+}
+
+
+@pytest.mark.parametrize("text", sorted(TRANSPORT_DIGESTS))
+def test_transported_grids_are_pinned(text):
+    d = BraneDiagram.parse(text)
+    digest = hashlib.sha256()
+    for ol in itertools.permutations(range(1, d.N + 1)):
+        z = Permutation(ol)
+        for normalized in (False, True):
+            grid = stab_grid(d, z, normalized=normalized)
+            for key in sorted(grid):
+                line = "%s|%s|%s|%s=%s\n" % (
+                    text, ",".join(map(str, ol)), normalized, "|".join(key), grid[key]
+                )
+                digest.update(line.encode())
+    assert digest.hexdigest() == TRANSPORT_DIGESTS[text]
