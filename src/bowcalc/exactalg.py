@@ -12,17 +12,26 @@ the plain ring we provide the pieces the localization calculus needs:
 * ``Character`` -- finite multisets of torus weights with Euler classes and
   chamber splitting.
 
+A ``MultiPoly`` stores each monomial as one packed int: fixed fields of
+``FIELD`` bits holding [total degree | e_t1 | ... | e_tN | e_h], the degree
+most significant.  Int order on these keys is the graded lexicographic order
+that ``str()`` prints in, so the kernel multiplies, divides and substitutes
+with int additions, ``max`` and a guard-bit test, and unpacks exponents only
+to print or to hand them out through ``terms``.  A total degree of
+``DEGREE_LIMIT`` (2**15) or more raises ``OverflowError`` rather than
+carrying into the next field; bad exponents (negative, non-int) raise
+``ValueError`` and float coefficients ``TypeError`` in every constructor.
+
 Everything is immutable after construction, down to a polynomial's term
-table (a read-only ``MappingProxyType``) and a form (a tuple), so a value
-shared through a cache cannot be changed by any caller.  All arithmetic is
-exact.
+table (read through a ``TermView``) and a form (a tuple), so a value shared
+through a cache cannot be changed by any caller.  All arithmetic is exact.
 """
 
 import heapq
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from types import MappingProxyType
 
 
 class WindowMismatchError(ValueError):
@@ -47,95 +56,176 @@ class NonPolynomialError(ArithmeticError):
 
 INF = float("inf")
 
+# Packed monomials: a monomial of Q[t_1..t_N, h] is one int made of N + 2
+# fields of FIELD bits, most significant first
+#     [ total degree | e_t1 | e_t2 | ... | e_tN | e_h ].
+# Every exponent is at most the total degree, which stays below DEGREE_LIMIT,
+# so the top bit of each field is always clear: it is a guard bit.
+FIELD = 16
+DEGREE_LIMIT = 1 << (FIELD - 1)
+_MASK = (1 << FIELD) - 1
 
-def _mono_key(mono):
-    # graded lexicographic, h (last slot) least significant
-    return (sum(mono), mono)
+
+def _degree_shift(window):
+    return FIELD * (window + 1)
+
+
+def _unit(k, window):
+    """Packed key of the k-th variable: t_k for k <= window, h for k = window + 1."""
+    return (1 << _degree_shift(window)) | (1 << FIELD * (window + 1 - k))
+
+
+def _guard(window):
+    """The guard bit of every field of a window's keys."""
+    return ((1 << FIELD * (window + 2)) - 1) // _MASK << (FIELD - 1)
+
+
+def _pack(mono, window):
+    """The key of an exponent tuple; a tuple that does not fit raises."""
+    if len(mono) != window + 1:
+        raise WindowMismatchError("monomial %r does not fit window %d" % (mono, window))
+    if not all(isinstance(e, int) and e >= 0 for e in mono):
+        raise ValueError("exponents must be non-negative ints: %r" % (mono,))
+    key = sum(mono)
+    if key >= DEGREE_LIMIT:
+        raise OverflowError("total degree %d reaches the limit %d" % (key, DEGREE_LIMIT))
+    for e in mono:
+        key = key << FIELD | e
+    return key
+
+
+def _unpack(key, window):
+    out = [0] * (window + 1)
+    for k in range(window, -1, -1):
+        out[k] = key & _MASK
+        key >>= FIELD
+    return tuple(out)
+
+
+def _coefficient(c):
+    """c as an int, or as a Fraction when it is not integral; no floats."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError("coefficients must be ints or Fractions, not %s" % type(c).__name__)
+
+
+class TermView(Mapping):
+    """Read-only mapping from exponent tuples to the coefficients of a
+    MultiPoly.  It unpacks keys as it is read and holds no copy."""
+
+    __slots__ = ("_terms", "_window")
+
+    def __init__(self, terms, window):
+        self._terms = terms
+        self._window = window
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        window = self._window
+        return (_unpack(key, window) for key in self._terms)
+
+    def __getitem__(self, mono):
+        try:
+            return self._terms[_pack(mono, self._window)]
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(mono) from None
+
+    def __repr__(self):
+        return "TermView(%r)" % dict(self.items())
 
 
 class MultiPoly:
     """Polynomial in t_1..t_window and h with rational coefficients.
 
-    Terms are stored as a read-only mapping from exponent tuples of length
-    window+1 (t exponents first, h exponent last) to nonzero ints or Fractions.
+    The terms live in a dict from packed monomials (see ``FIELD``) to nonzero
+    ints or Fractions.  The total degree sits in the top field and t_1 is
+    more significant than t_N, which is more significant than h, so
+    comparing two keys as ints is the graded lexicographic order: a product
+    of monomials is one int addition, the leading monomial is ``max`` of the
+    keys, and a divisibility test is one subtraction with guard bits.  A
+    result whose total degree reaches ``DEGREE_LIMIT`` raises
+    ``OverflowError``; no field ever carries into its neighbour.
+
+    ``terms`` is a read-only view keyed by exponent tuples of length window+1
+    (t exponents first, h exponent last).
     """
 
-    __slots__ = ("window", "terms", "_hash")
+    __slots__ = ("window", "_terms", "_hash")
 
     def __init__(self, window, terms=None):
         self.window = window
         clean = {}
         if terms:
             for mono, coef in terms.items():
+                key = _pack(mono, window)
+                coef = _coefficient(coef)
                 if coef:
-                    if len(mono) != window + 1:
-                        raise WindowMismatchError(
-                            "monomial %r does not fit window %d" % (mono, window)
-                        )
-                    # plain ints keep the hot loops fast; Fractions only when needed
-                    if type(coef) is not int:
-                        if isinstance(coef, Fraction) and coef.denominator == 1:
-                            coef = coef.numerator
-                        elif isinstance(coef, float):
-                            raise TypeError("floating point coefficients are not allowed")
-                    clean[mono] = coef
-        self.terms = MappingProxyType(clean)
+                    clean[key] = coef
+        self._terms = clean
         self._hash = None
+
+    @property
+    def terms(self):
+        return TermView(self._terms, self.window)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _raw(cls, window, terms):
-        # internal: terms must be clean (no zeros, int/Fraction coefficients)
+        # internal: terms must be clean (packed keys, no zeros, int/Fraction
+        # coefficients) and owned by the new polynomial
         self = cls.__new__(cls)
         self.window = window
-        self.terms = MappingProxyType(terms)
+        self._terms = terms
         self._hash = None
         return self
 
     @classmethod
     def zero(cls, window):
-        return cls(window, {})
+        return cls._raw(window, {})
 
     @classmethod
     def const(cls, value, window):
-        value = Fraction(value)
-        if not value:
-            return cls.zero(window)
-        return cls(window, {(0,) * (window + 1): value})
+        value = _coefficient(value)
+        return cls._raw(window, {0: value} if value else {})
 
     @classmethod
     def one(cls, window):
-        return cls.const(1, window)
+        return cls._raw(window, {0: 1})
 
     @classmethod
     def t(cls, i, window):
         if not 1 <= i <= window:
             raise WindowMismatchError("t_%d outside window %d" % (i, window))
-        mono = [0] * (window + 1)
-        mono[i - 1] = 1
-        return cls(window, {tuple(mono): Fraction(1)})
+        return cls._raw(window, {_unit(i, window): 1})
 
     @classmethod
     def h(cls, window):
-        mono = [0] * window + [1]
-        return cls(window, {tuple(mono): Fraction(1)})
+        return cls._raw(window, {_unit(window + 1, window): 1})
 
     @classmethod
     def linear(cls, window, t_coeffs, h_coeff=0, constant=0):
         """Sum of c_i*t_i (t_coeffs maps index -> c_i) plus h_coeff*h + constant."""
         terms = {}
         for i, c in t_coeffs.items():
+            c = _coefficient(c)
             if c:
-                mono = [0] * (window + 1)
-                mono[i - 1] = 1
-                terms[tuple(mono)] = Fraction(c)
+                if not 1 <= i <= window:
+                    raise WindowMismatchError("t_%d outside window %d" % (i, window))
+                terms[_unit(i, window)] = c
+        h_coeff = _coefficient(h_coeff)
         if h_coeff:
-            mono = [0] * window + [1]
-            terms[tuple(mono)] = Fraction(h_coeff)
+            terms[_unit(window + 1, window)] = h_coeff
+        constant = _coefficient(constant)
         if constant:
-            terms[(0,) * (window + 1)] = Fraction(constant)
-        return cls(window, terms)
+            terms[0] = constant
+        return cls._raw(window, terms)
 
     # -- ring structure ----------------------------------------------------
 
@@ -151,19 +241,19 @@ class MultiPoly:
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms = self.terms.copy()
-        for mono, coef in other.terms.items():
-            s = terms.get(mono, 0) + coef
+        terms = self._terms.copy()
+        for key, coef in other._terms.items():
+            s = terms.get(key, 0) + coef
             if s:
-                terms[mono] = s
+                terms[key] = s
             else:
-                terms.pop(mono, None)
+                terms.pop(key, None)
         return MultiPoly._raw(self.window, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.window, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._raw(self.window, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -182,23 +272,29 @@ class MultiPoly:
             if type(other) is not int and other.denominator == 1:
                 other = other.numerator
             return MultiPoly._raw(
-                self.window, {m: c * other for m, c in self.terms.items()}
+                self.window, {k: c * other for k, c in self._terms.items()}
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        a, b = self.terms, other.terms
+        a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
+        if not b:
+            return MultiPoly.zero(self.window)
+        # the largest key of the product is the sum of the largest keys
+        if (max(a) + max(b)) >> FIELD * (self.window + 1) >= DEGREE_LIMIT:
+            raise OverflowError("product degree reaches the limit %d" % DEGREE_LIMIT)
+        b = tuple(b.items())
         prod = {}
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
+            for m2, c2 in b:
+                mono = m1 + m2
                 s = prod.get(mono, 0) + c1 * c2
                 if s:
                     prod[mono] = s
                 else:
-                    prod.pop(mono, None)
+                    del prod[mono]
         return MultiPoly._raw(self.window, prod)
 
     __rmul__ = __mul__
@@ -220,57 +316,62 @@ class MultiPoly:
             other = MultiPoly.const(other, self.window)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.window == other.window and self.terms == other.terms
+        return self.window == other.window and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.window, frozenset(self.terms.items())))
+            self._hash = hash((self.window, frozenset(self._terms.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     # -- queries -----------------------------------------------------------
 
     def degree(self):
         """Total degree with deg t_i = deg h = 1; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self._terms) >> _degree_shift(self.window)
 
     def h_valuation(self):
         """Largest m with h^m dividing self; INF for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return INF
-        return min(m[-1] for m in self.terms)
+        return min(key & _MASK for key in self._terms)
 
     def constant_value(self):
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
-        if len(self.terms) == 1:
-            (mono, coef), = self.terms.items()
-            if not any(mono):
-                return coef
+        if len(self._terms) == 1 and 0 in self._terms:
+            return self._terms[0]
         raise ValueError("not a constant polynomial")
 
     def leading(self):
-        mono = max(self.terms, key=_mono_key)
-        return mono, self.terms[mono]
+        key = max(self._terms)
+        return _unpack(key, self.window), self._terms[key]
 
     def evaluate(self, values, h_value):
         """Exact evaluation at integer/rational arguments (t_1..t_N, h)."""
         if len(values) != self.window:
             raise WindowMismatchError("need %d values" % self.window)
-        point = list(values) + [h_value]
+        # fields from the least significant: h, t_N, ..., t_1
+        point = [h_value, *reversed(values)]
+        exponents = (1 << _degree_shift(self.window)) - 1
         total = 0
-        for mono, coef in self.terms.items():
+        for key, coef in self._terms.items():
+            key &= exponents
             term = coef
-            for v, e in zip(point, mono):
+            for v in point:
+                if not key:
+                    break
+                e = key & _MASK
                 if e:
                     term *= v ** e
+                key >>= FIELD
             total += term
         return total
 
@@ -282,29 +383,32 @@ class MultiPoly:
             if not q:
                 raise ZeroDivisionError("division by zero polynomial")
             return self * (Fraction(1) / q)
+        if not isinstance(q, MultiPoly):
+            raise TypeError("cannot divide a MultiPoly by %s" % type(q).__name__)
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.window)
 
-        def heap_key(m):
-            return (-sum(m), tuple(-e for e in m))
-
-        rem = self.terms.copy()
-        lm, lc = q.leading()
-        qterms = list(q.terms.items())
-        heap = [(heap_key(m), m) for m in rem]
+        rem = self._terms.copy()
+        lm = max(q._terms)
+        lc = q._terms[lm]
+        qterms = tuple(q._terms.items())
+        guard = _guard(self.window)
+        # lazy-deletion max-heap of the remainder's keys, negated
+        heap = [-m for m in rem]
         heapq.heapify(heap)
         quot = {}
         while rem:
-            # lazy-deletion max-heap: skip monomials no longer present
-            while heap and heap[0][1] not in rem:
+            while -heap[0] not in rem:
                 heapq.heappop(heap)
-            mono = heap[0][1]
-            diff = tuple(a - b for a, b in zip(mono, lm))
-            if any(e < 0 for e in diff):
+            mono = -heap[0]
+            # lm divides mono iff no field borrows, i.e. every guard bit survives
+            diff = (mono | guard) - lm
+            if diff & guard != guard:
                 raise NotDivisibleError("leading term not divisible")
+            diff -= guard
             rc = rem[mono]
             if isinstance(rc, int) and isinstance(lc, int):
                 c = rc // lc if rc % lc == 0 else Fraction(rc, lc)
@@ -312,12 +416,12 @@ class MultiPoly:
                 c = rc / lc
             quot[diff] = c
             for m2, c2 in qterms:
-                m = tuple(a + b for a, b in zip(diff, m2))
+                m = diff + m2
                 old = rem.get(m)
                 s = (old if old is not None else 0) - c * c2
                 if s:
                     if old is None:
-                        heapq.heappush(heap, (heap_key(m), m))
+                        heapq.heappush(heap, -m)
                     rem[m] = s
                 else:
                     rem.pop(m, None)
@@ -344,14 +448,14 @@ class MultiPoly:
         return ["t%d" % (i + 1) for i in range(self.window)] + ["h"]
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         names = self._var_names()
         parts = []
-        for mono in sorted(self.terms, key=_mono_key, reverse=True):
-            coef = self.terms[mono]
+        for key in sorted(self._terms, reverse=True):
+            coef = self._terms[key]
             factors = []
-            for name, e in zip(names, mono):
+            for name, e in zip(names, _unpack(key, self.window)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -377,9 +481,9 @@ class MultiPoly:
         """Canonically sorted list of {coef, exps} dicts (JSON-friendly)."""
         names = self._var_names()
         out = []
-        for mono in sorted(self.terms, key=_mono_key, reverse=True):
-            coef = self.terms[mono]
-            exps = {n: e for n, e in zip(names, mono) if e}
+        for key in sorted(self._terms, reverse=True):
+            coef = self._terms[key]
+            exps = {n: e for n, e in zip(names, _unpack(key, self.window)) if e}
             out.append({"coef": "%d/%d" % (coef.numerator, coef.denominator), "exps": exps})
         return out
 
@@ -546,8 +650,10 @@ class LocalizedScalar:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LocalizedScalar.from_poly(MultiPoly.const(other, self.window))
-        if isinstance(other, MultiPoly):
+        elif isinstance(other, MultiPoly):
             other = LocalizedScalar.from_poly(other)
+        elif not isinstance(other, LocalizedScalar):
+            return NotImplemented
         mine = Counter(self.denoms)
         theirs = Counter(other.denoms)
         common = mine & theirs
@@ -579,6 +685,8 @@ class LocalizedScalar:
             # the product is formed
             other, rest = _cancel_forms(other, self.denoms)
             return LocalizedScalar(self.num * other, rest, reduce_now=False)
+        if not isinstance(other, LocalizedScalar):
+            return NotImplemented
         return LocalizedScalar(self.num * other.num, self.denoms + other.denoms)
 
     __rmul__ = __mul__
@@ -627,17 +735,18 @@ class RingMap:
         self.target = target
         self.images = tuple(images)
         self._pows = [{0: MultiPoly.one(target)} for _ in range(source)]
-        # pure variable renumberings admit a monomial-level fast path
-        renumber = {}
+        # pure variable renumberings admit a monomial-level fast path: the
+        # source field of each t_i and the packed key of its image
+        fields = []
         for i, im in enumerate(self.images, start=1):
-            if len(im.terms) == 1:
-                (mono, coef), = im.terms.items()
-                if coef == 1 and sum(mono) == 1 and mono[-1] == 0:
-                    renumber[i] = mono.index(1) + 1
+            if len(im._terms) == 1:
+                (key, coef), = im._terms.items()
+                if coef == 1 and key >> _degree_shift(target) == 1 and key & _MASK == 0:
+                    fields.append((FIELD * (source + 1 - i), key))
                     continue
-            renumber = None
+            fields = None
             break
-        self._renumber = renumber
+        self._renumber = fields
 
     def _power(self, i, e):
         cache = self._pows[i - 1]
@@ -673,12 +782,14 @@ class RingMap:
     def __call__(self, p):
         if isinstance(p, LocalizedScalar):
             out = LocalizedScalar.from_poly(self(p.num))
+            h_key = _unit(self.target + 1, self.target)
+            t_fields = (1 << _degree_shift(self.target)) - 1 - _MASK
             for form in p.denoms:
                 img = self(form.as_poly(p.window))
                 # the image is linear, so c*(t_a - t_b + m*h) shows its |m| as
                 # |h coefficient| / |t coefficient|
-                t_coefs = [abs(c) for mono, c in img.terms.items() if any(mono[:-1])]
-                h_coef = abs(img.terms.get((0,) * self.target + (1,), 0))
+                t_coefs = [abs(c) for key, c in img._terms.items() if key & t_fields]
+                h_coef = abs(img._terms.get(h_key, 0))
                 c, hpow, forms = factor_s_forms(img, max_abs_m=h_coef // min(t_coefs, default=1))
                 if hpow or len(forms) != 1:
                     raise NonPolynomialError("denominator image is not a single S form")
@@ -686,38 +797,34 @@ class RingMap:
             return out
         if p.window != self.source:
             raise WindowMismatchError("window %d, map expects %d" % (p.window, self.source))
-        if self._renumber is not None:
-            terms = {}
-            for mono, coef in p.terms.items():
-                new = [0] * (self.target + 1)
-                new[-1] = mono[-1]
-                for i in range(self.source):
-                    if mono[i]:
-                        new[self._renumber[i + 1] - 1] += mono[i]
-                key = tuple(new)
-                s = terms.get(key, 0) + coef
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-            return MultiPoly._raw(self.target, terms)
+        # h is fixed: its exponent moves to the target's h field, and each
+        # unit of it adds h_unit (one to the h field, one to the degree)
+        h_unit = _unit(self.target + 1, self.target)
         acc = {}
-        for mono, coef in p.terms.items():
+        if self._renumber is not None:
+            for key, coef in p._terms.items():
+                new = (key & _MASK) * h_unit
+                for shift, unit in self._renumber:
+                    e = key >> shift & _MASK
+                    if e:
+                        new += e * unit
+                s = acc.get(new, 0) + coef
+                if s:
+                    acc[new] = s
+                else:
+                    del acc[new]
+            return MultiPoly._raw(self.target, acc)
+        for key, coef in p._terms.items():
             term = None
             for i in range(self.source):
-                e = mono[i]
+                e = key >> FIELD * (self.source - i) & _MASK
                 if e:
                     pw = self._power(i + 1, e)
                     term = pw if term is None else term * pw
-            hexp = mono[-1]
-            if term is None:
-                key_terms = {(0,) * self.target + (hexp,): coef}
-            else:
-                key_terms = {
-                    m[:-1] + (m[-1] + hexp,): c * coef for m, c in term.terms.items()
-                }
-            for m, c in key_terms.items():
-                s = acc.get(m, 0) + c
+            shift = (key & _MASK) * h_unit
+            for m, c in ((0, 1),) if term is None else term._terms.items():
+                m += shift
+                s = acc.get(m, 0) + c * coef
                 if s:
                     acc[m] = s
                 else:

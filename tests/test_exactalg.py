@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bowcalc import exactalg
 from bowcalc.exactalg import (
     Character,
     LinearForm,
@@ -276,3 +277,59 @@ def test_poly_with_localized_operand_defers_to_localized():
         p + MultiPoly.t(1, 3)
     with pytest.raises(TypeError):
         p * "t1"
+
+
+def test_bad_exponents_and_float_coefficients_are_rejected():
+    for mono in ((-1, 0, 0), (1.5, 0, 0), (0, "1", 0)):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {mono: 1})
+    with pytest.raises(TypeError):
+        MultiPoly(2, {(1, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        MultiPoly.const(0.5, 2)
+    with pytest.raises(TypeError):
+        MultiPoly.linear(2, {1: 0.5})
+    with pytest.raises(TypeError):
+        MultiPoly.linear(2, {1: 1}, 0.25)
+    with pytest.raises(TypeError):
+        MultiPoly.linear(2, {}, constant=0.5)
+    assert str(MultiPoly.linear(2, {1: Fraction(1, 2)}, Fraction(4, 2), -1)) == "1/2*t1 + 2*h - 1"
+
+
+def test_non_exact_operands_raise_type_error():
+    p = MultiPoly.t(1, 2)
+    s = LocalizedScalar(p)
+    for bad in (0.5, "t1"):
+        with pytest.raises(TypeError):
+            p.exact_div(bad)
+        with pytest.raises(TypeError):
+            s * bad
+        with pytest.raises(TypeError):
+            bad * s
+        with pytest.raises(TypeError):
+            s + bad
+        with pytest.raises(TypeError):
+            bad + s
+    assert (s * 2).num == 2 * p and (s + 1).num == p + 1
+
+
+def test_degree_limit_raises_instead_of_carrying():
+    limit = exactalg.DEGREE_LIMIT
+    t1, t2, H = t(1, 2), t(2, 2), h(2)
+    top = t1 ** (limit - 1)
+    for other in (t1, t2, H, top):
+        with pytest.raises(OverflowError):
+            top * other
+    for mono in ((limit, 0, 0), (limit - 1, 0, 1), (1, limit // 2, limit // 2)):
+        with pytest.raises(OverflowError):
+            MultiPoly(2, {mono: 1})
+    # an exponent just below the limit fills its field and round-trips
+    p = MultiPoly(2, {(0, limit - 1, 0): 3, (1, 0, 0): -1})
+    assert dict(p.terms) == {(0, limit - 1, 0): 3, (1, 0, 0): -1}
+    assert p.terms[(0, limit - 1, 0)] == 3
+    assert str(p) == "3*t2^%d - t1" % (limit - 1)
+    assert p.degree() == limit - 1 and p.leading() == ((0, limit - 1, 0), 3)
+    assert (H ** (limit - 1)).h_valuation() == limit - 1
+    assert top.exact_div(t1 ** (limit - 2)) == t1
+    with pytest.raises(NotDivisibleError):
+        top.exact_div(t2)
