@@ -1,16 +1,16 @@
 """Chevalley-Monk multiplication matrices in the stable basis, the virtual
-pairing oracle, and the theorem verification suite.
+pairing, and the theorem verification suite.
 
 The matrix of multiplication by c_1(xi_j) has entry[row D'][col D] equal to
 the coefficient of Stab(D') in c_1(xi_j) cup Stab(D).  Two independent routes
 compute it: the combinatorial formula (diagonal = tautological Chern
-restriction, off-diagonal = signed h on twisted simple moves) and the
-orthogonality oracle (pairing against the opposite-chamber basis).
-"""
+restriction, off-diagonal = signed h on twisted simple moves) and the oracle
+(a triangular solve of Stab * C = diag(c_1(xi_j)) * Stab on the stable grid)."""
 
 import operator
 import random
 from fractions import Fraction
+from graphlib import TopologicalSorter
 
 from .diagrams import (
     TieDiagram,
@@ -238,20 +238,24 @@ def _chern_table(diagram, j):
 
 
 def cm_matrix_oracle(diagram, z, j):
-    """The same matrix from orthogonality: entry[D'][D] is the virtual pairing
-    of c_1(xi_j) cup Stab_c(D) with Stab_{c^op}(D'); certified polynomial."""
-    points = fixed_points(diagram)
-    basis = [D.key() for D in points]
-    pair_terms = _pairing_terms(diagram, z)
+    """The same matrix by a triangular solve on the stable grid: at a fixed
+    point T, sum_X Stab(X)|_T (C[X][D] - [X == D] c_1(xi_j)|_T) = 0.  T is solved
+    after every X with Stab(X)|_T != 0 (the support axiom), by one exact division
+    by Stab(T)|_T; CycleError or ZeroDivisionError means the grid is not triangular."""
+    basis = [D.key() for D in fixed_points(diagram)]
+    grid = stab_grid(diagram, z)
     chern = _chern_table(diagram, j)
-    zero = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
+    above = {T: [X for X in basis if X != T and not grid[(T, X)].is_zero()] for T in basis}
     entries = {}
-    for D in points:
-        for Dp in points:
-            total = zero
-            for tkey, scalar in pair_terms[(D.key(), Dp.key())]:
-                total = total + scalar * chern[tkey]
-            entries[(Dp.key(), D.key())] = total.to_poly()
+    for T in TopologicalSorter(above).static_order():
+        for D in basis:
+            rhs = MultiPoly.zero(diagram.N)
+            for X in above[T]:
+                c = entries[(X, D)] - chern[T] if X == D else entries[(X, D)]
+                if not c.is_zero():
+                    rhs = rhs - grid[(T, X)] * c
+            entries[(T, D)] = rhs.exact_div(grid[(T, T)])
+        entries[(T, T)] = entries[(T, T)] + chern[T]
     return CMMatrix(diagram, z, j, basis, entries)
 
 

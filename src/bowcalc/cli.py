@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 mathematical invariant violation,
 import argparse
 import json
 import sys
+from graphlib import CycleError
 
 from .diagrams import (
     BraneDiagram,
@@ -204,7 +205,7 @@ def cmd_cm(args):
     if args.oracle:
         oracle = chevalley.cm_matrix_oracle(d, z, args.bundle)
         if not matrix == oracle:
-            raise CliError("multiplication formula disagrees with the pairing oracle", MATH_ERROR)
+            raise CliError("multiplication formula disagrees with the triangular-solve oracle", MATH_ERROR)
     result = matrix.to_json()
     lines = ["cm matrix for bundle %d, chamber %s:" % (args.bundle, z)]
     lines += [
@@ -341,7 +342,7 @@ def build_parser():
 
     p = sub.add_parser("cm", help="multiplication matrix of a first Chern class")
     common(p, chamber=True, bundle=True)
-    p.add_argument("--oracle", action="store_true", help="cross-check against the pairing oracle")
+    p.add_argument("--oracle", action="store_true", help="cross-check against the triangular solve on the stable grid")
     p.set_defaults(func=cmd_cm)
 
     p = sub.add_parser("pair", help="virtual intersection pairing of two stable classes")
@@ -384,7 +385,7 @@ def main(argv=None):
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code
-    except (NotDivisibleError, NonPolynomialError) as e:
+    except (NotDivisibleError, NonPolynomialError, ZeroDivisionError, CycleError) as e:
         print("error: internal invariant violated: %s" % e, file=sys.stderr)
         return MATH_ERROR
     except DiagramError as e:

@@ -42,6 +42,7 @@ from bowcalc.stabloc import (
     stab_restriction,
     stab_tilde_antidominant,
 )
+from pairing_route import cm_matrix_pairing
 
 W = Permutation.parse
 
@@ -205,9 +206,9 @@ def test_criterion_5_cm_column():
     h = MultiPoly.h(4)
     diag = C.entry(D.key(), D.key())
     # the A-weight part of the diagonal is t2 + t3 + t4; each of the three
-    # weights carries the exact twist -2h (cross-checked by the pairing
-    # oracle in criterion 7 and anchored by the quotient bundle weights of
-    # the cotangent line bundle case)
+    # weights carries the exact twist -2h (cross-checked by the oracle in
+    # criterion 7 and anchored by the quotient bundle weights of the
+    # cotangent line bundle case)
     assert diag - (t(2) + t(3) + t(4)) == -6 * h
     assert (diag - (t(2) + t(3) + t(4))).h_valuation() >= 1
     moves = {
@@ -244,7 +245,28 @@ def test_criterion_7_cm_equals_oracle():
                 formula = cm_matrix(d, z, j)
                 oracle = cm_matrix_oracle(d, z, j)
                 assert formula == oracle, (d.format(), str(z), j)
-    report(7, "multiplication formula equals the pairing oracle everywhere")
+    report(7, "multiplication formula equals the triangular-solve oracle everywhere")
+
+
+def test_pairing_route_equals_oracle():
+    # the orthogonality route, kept as a reference: its summands are the ones
+    # criterion 6 paired, in the same chambers
+    for d in family():
+        z_random = random_chamber(d.N, seed=1729 + d.N)
+        for z in (Permutation.identity(d.N), z_random):
+            for j in range(1, d.num_black + 1):
+                assert cm_matrix_pairing(d, z, j) == cm_matrix_oracle(d, z, j), (d.format(), str(z), j)
+
+
+def test_cm_matrices_commute_on_family():
+    # cohomology is commutative, independently of either oracle
+    for d in family():
+        z_random = random_chamber(d.N, seed=1729 + d.N)
+        for z in (Permutation.identity(d.N), z_random):
+            mats = [cm_matrix(d, z, j) for j in range(1, d.num_black + 1)]
+            for a in range(len(mats)):
+                for b in range(a + 1, len(mats)):
+                    assert mats[a].compose(mats[b]) == mats[b].compose(mats[a]), (d.format(), str(z), a + 1, b + 1)
 
 
 def test_criterion_8_divisibility_and_congruence():

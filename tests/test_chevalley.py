@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from bowcalc import chevalley
 from bowcalc.chevalley import (
     CMMatrix,
     _pairing_terms,
@@ -18,9 +19,10 @@ from bowcalc.chevalley import (
     virtual_pairing,
 )
 from bowcalc.diagrams import BraneDiagram, TieDiagram, flag_diagram
-from bowcalc.exactalg import LocalizedScalar, MultiPoly
+from bowcalc.exactalg import LocalizedScalar, MultiPoly, NonPolynomialError, NotDivisibleError
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import opposite_chamber, stab_grid
+from pairing_route import cm_matrix_pairing
 
 W = Permutation.parse
 
@@ -216,3 +218,40 @@ def test_gram_entries_equal_virtual_pairings():
                     value = virtual_pairing(d, z, vec_a, vec_b)
                     assert value == gram[(Da.key(), Db.key())]
                     assert str(value) == str(gram[(Da.key(), Db.key())])
+
+
+def _rejects(route, formula):
+    try:
+        return not route() == formula
+    except (NotDivisibleError, NonPolynomialError):
+        return True
+
+
+def test_both_oracle_routes_reject_corruption(monkeypatch):
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    zid = Permutation.identity(3)
+    grid = stab_grid(d, zid)
+    off = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
+    corrupted = dict(grid)
+    corrupted[off] = -grid[off]
+    for j in (2, 3):  # the bundles whose Chern classes vary over the fixed points
+        good = cm_matrix(d, zid, j)
+        assert cm_matrix_oracle(d, zid, j) == good == cm_matrix_pairing(d, zid, j)
+        # a flipped off-diagonal entry of the formula matrix
+        entry = min(k for k in good.entries if k[0] != k[1])
+        bad = CMMatrix(d, zid, j, good.basis, {**good.entries, entry: -good.entries[entry]})
+        assert not bad == cm_matrix_oracle(d, zid, j)
+        assert not bad == cm_matrix_pairing(d, zid, j)
+        # a flipped off-diagonal grid entry; the memoized grid is read-only,
+        # so both routes read a corrupted copy
+        with monkeypatch.context() as m:
+            m.setattr(
+                chevalley,
+                "stab_grid",
+                lambda diagram, z, normalized=False: corrupted
+                if (diagram.key(), z) == (d.key(), zid)
+                else stab_grid(diagram, z, normalized),
+            )
+            terms = _pairing_terms.__wrapped__(d, zid)
+            assert _rejects(lambda: cm_matrix_oracle(d, zid, j), good)
+            assert _rejects(lambda: cm_matrix_pairing(d, zid, j, terms), good)

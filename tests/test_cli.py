@@ -1,6 +1,13 @@
 import json
 
-from bowcalc.cli import main
+import pytest
+
+from bowcalc import chevalley
+from bowcalc.cli import MATH_ERROR, main
+from bowcalc.diagrams import BraneDiagram
+from bowcalc.exactalg import MultiPoly
+from bowcalc.permcalc import Permutation
+from bowcalc.stabloc import stab_grid
 
 RES = "0/1/3/5\\3\\2\\0"
 
@@ -143,3 +150,21 @@ def test_pair_orthogonality(capsys):
         "--json",
     )
     assert json.loads(out)["result"]["value"] == "0"
+
+
+@pytest.mark.parametrize("defect", ["cycle", "zero diagonal"])
+def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
+    # a grid that is not triangular is an invariant violation, not a traceback
+    d = BraneDiagram.parse(RES)
+    grid = stab_grid(d, Permutation.identity(d.N))
+    t, x = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
+    bad = dict(grid)
+    if defect == "cycle":
+        bad[(x, t)] = MultiPoly.h(d.N)
+    else:
+        bad[(t, t)] = MultiPoly.zero(d.N)
+    monkeypatch.setattr(chevalley, "stab_grid", lambda diagram, z, normalized=False: bad)
+    code, out, err = run(capsys, "cm", "--diagram", RES, "--bundle", "2", "--oracle", "--json")
+    assert code == MATH_ERROR
+    assert out == ""
+    assert err.startswith("error: internal invariant violated: ")
