@@ -13,8 +13,8 @@ from bowcalc.exactalg import LocalizedScalar, MultiPoly
 
 
 def cm_matrix_pairing(diagram, z, j, pair_terms=None):
-    """The matrix of c_1(xi_j) from the pairing summands; a certified
-    polynomial, since ``to_poly`` raises on a surviving denominator.
+    """The matrix of c_1(xi_j) from the pairing summands; each entry is a
+    certified polynomial, since ``to_poly`` raises on a surviving denominator.
 
     ``pair_terms`` defaults to the memoized ``_pairing_terms(diagram, z)``.
     """
@@ -26,8 +26,14 @@ def cm_matrix_pairing(diagram, z, j, pair_terms=None):
     entries = {}
     for dk in basis:
         for dpk in basis:
-            total = zero
+            # summands that share a nonzero Chern restriction are added
+            # before it multiplies them: the same sum, with smaller numerators
+            groups = {}
             for tkey, scalar in pair_terms[(dk, dpk)]:
-                total = total + scalar * chern[tkey]
+                if not chern[tkey].is_zero():
+                    groups[chern[tkey]] = groups.get(chern[tkey], zero) + scalar
+            total = zero
+            for c, part in groups.items():
+                total = total + part * c
             entries[(dpk, dk)] = total.to_poly()
     return CMMatrix(diagram, z, j, basis, entries)

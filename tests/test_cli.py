@@ -152,7 +152,7 @@ def test_pair_orthogonality(capsys):
     assert json.loads(out)["result"]["value"] == "0"
 
 
-@pytest.mark.parametrize("defect", ["cycle", "zero diagonal"])
+@pytest.mark.parametrize("defect", ["cycle", "zero-diagonal"])
 def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
     # a grid that is not triangular is an invariant violation, not a traceback
     d = BraneDiagram.parse(RES)
