@@ -41,12 +41,15 @@ def fixed_points(diagram):
     return [TieDiagram.from_bct(diagram, A) for A in enumerate_bct(diagram)]
 
 
-@memo(lambda diagram, z, points: (diagram.key(), z.one_line))
+@memo(lambda diagram, z, points: diagram.key())
 def _tangent_factors(diagram, z, points):
     """Tangent Euler classes, factored into S forms for localized division.
 
     Each tangent class is the product of the two opposite-chamber diagonal
     stable multiplicities; both are Euler classes, so they factor completely.
+    The product e(T_T) does not depend on the chamber z (the normalization
+    axiom), and its factorization into sorted S forms is unique, so one
+    table per diagram serves every chamber.
     """
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))

@@ -262,7 +262,6 @@ def cmd_render(args):
         if args.bct:
             text += "\n" + render_bct(D)
     else:
-        D = None
         text = " " + d.format()
     result = {"diagram": d.format(), "text": text}
     emit(args, "render", {"diagram": args.diagram, "tie": args.tie}, result, [text])

@@ -427,13 +427,6 @@ class MultiPoly:
                     rem.pop(m, None)
         return MultiPoly._raw(self.window, quot)
 
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except NotDivisibleError:
-            return False
-
     # -- substitution ------------------------------------------------------
 
     def act_perm(self, w):
@@ -533,28 +526,15 @@ class LinearForm(namedtuple("LinearForm", "i j m")):
     __repr__ = __str__
 
 
-_EVAL_BASE = (1009, 2003, 3001, 4001, 5003, 6007, 7001, 8009, 9001, 10007)
-
-
-def _vanishes_on(p, form):
-    """Whether p vanishes at one chosen point of the hyperplane of ``form``
-    (h = 1).  Every multiple of the form does, so a nonzero value rules the
-    form out before any trial division."""
-    point = [_EVAL_BASE[k % len(_EVAL_BASE)] * (k + 1) for k in range(p.window)]
-    point[form.i - 1] = point[form.j - 1] - form.m
-    return p.evaluate(point, 1) == 0
-
-
 def factor_s_forms(p, max_abs_m=None):
     """Factor p as constant * h^k * product of S-linear forms.
 
     Candidates t_i - t_j + m*h with |m| <= max_abs_m (doubling up to the
     degree of p if that is not enough; max(2, degree) when not given) are
-    screened by ``_vanishes_on``, then confirmed by trial division.  One scan
-    per bound suffices: a form that does not divide the remainder cannot
-    divide a later remainder, which divides it.  Returns (constant, h power,
-    sorted list of LinearForm); raises NotDivisibleError if a non-constant
-    part remains.
+    tried by exact division.  One scan per bound suffices: a form that does
+    not divide the remainder cannot divide a later remainder, which divides
+    it.  Returns (constant, h power, sorted list of LinearForm); raises
+    NotDivisibleError if a non-constant part remains.
     """
     window = p.window
     if p.is_zero():
@@ -571,12 +551,12 @@ def factor_s_forms(p, max_abs_m=None):
             for j in range(i + 1, window + 1):
                 for m in range(-bound, bound + 1):
                     form = LinearForm(i, j, m)
-                    while _vanishes_on(rest, form):
-                        try:
+                    try:
+                        while True:
                             rest = rest.exact_div(form.as_poly(window))
-                        except NotDivisibleError:
-                            break
-                        factors.append(form)
+                            factors.append(form)
+                    except NotDivisibleError:
+                        pass
         if rest.degree() <= 0:
             return rest.constant_value(), hpow, sorted(factors)
         if bound >= cap:
@@ -596,9 +576,6 @@ def _cancel_forms(num, forms):
         return num, ()
     remaining = []
     for form in forms:
-        if not _vanishes_on(num, form):
-            remaining.append(form)
-            continue
         try:
             num = num.exact_div(form.as_poly(num.window))
         except NotDivisibleError:
@@ -694,8 +671,10 @@ class LocalizedScalar:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LocalizedScalar.from_poly(MultiPoly.const(other, self.window))
-        if isinstance(other, MultiPoly):
+        elif isinstance(other, MultiPoly):
             other = LocalizedScalar.from_poly(other)
+        elif not isinstance(other, LocalizedScalar):
+            return NotImplemented
         return self.num * other.denom_poly() == other.num * self.denom_poly()
 
     def __bool__(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -75,6 +76,22 @@ def test_pairing_summands_match_product_then_reduce():
                     const, _, forms = tangent[tk]
                     want.append((tk, str(LocalizedScalar(a * b * (Fraction(1) / const), forms))))
                 assert [(tk, str(s)) for tk, s in terms[(dk, dpk)]] == want
+
+
+def test_tangent_factors_do_not_depend_on_the_chamber():
+    # e(T_T) = Stab_z(T)|_T * Stab_-z(T)|_T is the same in every chamber and
+    # factors uniquely, so _tangent_factors is memoized per diagram alone
+    for text in (RES_DIAGRAM, "0/1/3\\2/3\\2\\0"):
+        d = BraneDiagram.parse(text)
+        pts = fixed_points(d)
+        chambers = [Permutation(list(ol)) for ol in itertools.permutations(range(1, d.N + 1))]
+        assert chambers[0].is_identity()
+        want = _tangent_factors.__wrapped__(d, chambers[0], pts)
+        for z in chambers[1:]:
+            assert _tangent_factors.__wrapped__(d, z, pts) == want
+        shared = _tangent_factors(d, chambers[-1], pts)
+        assert dict(shared) == want
+        assert all(_tangent_factors(d, z, pts) is shared for z in chambers)
 
 
 def test_cm_column_golden():

@@ -333,3 +333,14 @@ def test_degree_limit_raises_instead_of_carrying():
     assert top.exact_div(t1 ** (limit - 2)) == t1
     with pytest.raises(NotDivisibleError):
         top.exact_div(t2)
+
+
+def test_localized_equality_with_foreign_types_is_false():
+    s = LocalizedScalar(t(1, 2), [LinearForm(1, 2)])
+    for other in (None, "t1", 0.5, object()):
+        assert not s == other
+        assert s != other
+    assert s not in [None, 1]
+    # the types it does compare with still compare by value
+    assert LocalizedScalar(t(1, 2)) in [None, t(1, 2)]
+    assert LocalizedScalar(MultiPoly.const(2, 2)) in [None, 2]

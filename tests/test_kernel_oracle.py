@@ -8,6 +8,7 @@ significant and h least) is the order ``str()`` and ``leading()`` promise.
 sympy is used only in tests.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ def names(window, prefix="t"):
     return ["%s%d" % (prefix, i + 1) for i in range(window)] + ["h"]
 
 
+@functools.cache
 def sympy_ring(window):
     return ring(names(window), QQ, grlex)[0]
 

@@ -8,6 +8,7 @@ denominators), and, through sympy's ``cancel`` and ``gcd`` over QQ, that it equa
 a*b / e(T) and is in lowest terms.  sympy is used only in tests.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -85,10 +86,15 @@ def reduce_product(a, b, tangent):
     return LocalizedScalar(num, forms_)
 
 
+@functools.cache
+def sympy_ring(window):
+    """sympy's polynomial ring QQ[t1..tN, h], built once per window."""
+    return ring(["t%d" % (i + 1) for i in range(window)] + ["h"], QQ)[0]
+
+
 def to_sympy(p):
     """p as an element of sympy's polynomial ring QQ[t1..tN, h]."""
-    names = ["t%d" % (i + 1) for i in range(p.window)] + ["h"]
-    R = ring(names, QQ)[0]
+    R = sympy_ring(p.window)
     return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
 
 
@@ -155,3 +161,37 @@ def test_factor_s_forms_recovers_the_factors(built):
     window = p.window
     with pytest.raises(NotDivisibleError):
         factor_s_forms(p * (MultiPoly.t(1, window) + MultiPoly.t(2, window)), max_abs_m=3)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Numerators and denominator forms of two scalars over one window.  In
+    every other pair the second is the first with one more form in its
+    numerator and denominator, so that equality is exercised both ways."""
+    window = draw(st.sampled_from(WINDOWS))
+    num, denoms = draw(polys(window, allow_zero=True)), draw(st.lists(FORMS[window], max_size=4))
+    if draw(st.booleans()):
+        extra = draw(FORMS[window])
+        other = (num * extra.as_poly(window), denoms + [extra])
+    else:
+        other = (draw(polys(window, allow_zero=True)), draw(st.lists(FORMS[window], max_size=4)))
+    return (num, denoms), other
+
+
+@PROPERTY
+@given(scalar_pairs())
+def test_localized_sum_difference_and_equality_against_sympy(pair):
+    s, other = (LocalizedScalar(num, denoms) for num, denoms in pair)
+    for value, (num, denoms) in zip((s, other), pair):
+        assert_sympy_reduced(value, num, poly_product([f.as_poly(num.window) for f in denoms], num.window))
+    s_den, o_den = s.denom_poly(), other.denom_poly()
+    for got, sign in ((s + other, 1), (s - other, -1)):
+        assert got.denoms == tuple(sorted(got.denoms))
+        if got.num.is_zero():
+            assert got.denoms == ()
+        assert_sympy_reduced(got, s.num * o_den + other.num * s_den * sign, s_den * o_den)
+    same = to_sympy(s.num) * to_sympy(o_den) == to_sympy(other.num) * to_sympy(s_den)
+    assert (s == other) is same and (other == s) is same
+    assert (s != other) is not same
+    if not s.denoms:
+        assert s == s.num and (other == s.num) is same
