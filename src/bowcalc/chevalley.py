@@ -11,6 +11,7 @@ import operator
 import random
 from fractions import Fraction
 from graphlib import TopologicalSorter
+from types import MappingProxyType
 
 from .diagrams import (
     TieDiagram,
@@ -139,7 +140,12 @@ def virtual_pairing(diagram, z, vec_a, vec_b):
 
 
 class CMMatrix:
-    """Sparse multiplication matrix indexed by tie diagram keys."""
+    """Sparse multiplication matrix indexed by tie diagram keys.
+
+    Read-only, so that a memoized matrix can be shared: ``basis`` is a tuple
+    and ``entries`` a ``MappingProxyType``; every operation builds a new
+    matrix.
+    """
 
     __slots__ = ("diagram", "chamber", "bundle", "basis", "entries")
 
@@ -147,8 +153,8 @@ class CMMatrix:
         self.diagram = diagram
         self.chamber = chamber
         self.bundle = bundle
-        self.basis = list(basis)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self.basis = tuple(basis)
+        self.entries = MappingProxyType({k: v for k, v in entries.items() if not v.is_zero()})
 
     def entry(self, row_key, col_key):
         zero = MultiPoly.zero(self.diagram.N)
@@ -213,7 +219,7 @@ class CMMatrix:
             "diagram": self.diagram.format(),
             "chamber": str(self.chamber),
             "bundle": self.bundle,
-            "basis": self.basis,
+            "basis": list(self.basis),
             "entries": triplets,
         }
 
@@ -240,6 +246,7 @@ def _chern_table(diagram, j):
     return {D.key(): taut_chern(D, j) for D in fixed_points(diagram)}
 
 
+@memo(lambda diagram, z, j: (diagram.key(), z.one_line, j))
 def cm_matrix_oracle(diagram, z, j):
     """The same matrix by a triangular solve on the stable grid: at a fixed
     point T, sum_X Stab(X)|_T (C[X][D] - [X == D] c_1(xi_j)|_T) = 0.  T is solved

@@ -354,27 +354,6 @@ class MultiPoly:
         key = max(self._terms)
         return _unpack(key, self.window), self._terms[key]
 
-    def evaluate(self, values, h_value):
-        """Exact evaluation at integer/rational arguments (t_1..t_N, h)."""
-        if len(values) != self.window:
-            raise WindowMismatchError("need %d values" % self.window)
-        # fields from the least significant: h, t_N, ..., t_1
-        point = [h_value, *reversed(values)]
-        exponents = (1 << _degree_shift(self.window)) - 1
-        total = 0
-        for key, coef in self._terms.items():
-            key &= exponents
-            term = coef
-            for v in point:
-                if not key:
-                    break
-                e = key & _MASK
-                if e:
-                    term *= v ** e
-                key >>= FIELD
-            total += term
-        return total
-
     # -- division ----------------------------------------------------------
 
     def exact_div(self, q):
@@ -700,7 +679,7 @@ class LocalizedScalar:
 class RingMap:
     """Q[h]-algebra homomorphism: every t variable maps to a degree <= 1 poly."""
 
-    __slots__ = ("source", "target", "images", "_pows", "_renumber")
+    __slots__ = ("source", "target", "images", "_pows", "_renumber", "_affine")
 
     def __init__(self, source, target, images):
         if len(images) != source:
@@ -714,18 +693,20 @@ class RingMap:
         self.target = target
         self.images = tuple(images)
         self._pows = [{0: MultiPoly.one(target)} for _ in range(source)]
-        # pure variable renumberings admit a monomial-level fast path: the
-        # source field of each t_i and the packed key of its image
-        fields = []
+        # a variable whose image is a bare t_j is renumbered at the key level
+        # (its source field and the packed key of t_j); every other variable
+        # is affine and substituted through its cached powers
+        renumber, affine = [], []
         for i, im in enumerate(self.images, start=1):
+            shift = FIELD * (source + 1 - i)
             if len(im._terms) == 1:
                 (key, coef), = im._terms.items()
                 if coef == 1 and key >> _degree_shift(target) == 1 and key & _MASK == 0:
-                    fields.append((FIELD * (source + 1 - i), key))
+                    renumber.append((shift, key))
                     continue
-            fields = None
-            break
-        self._renumber = fields
+            affine.append((i, shift))
+        self._renumber = tuple(renumber)
+        self._affine = tuple(affine)
 
     def _power(self, i, e):
         cache = self._pows[i - 1]
@@ -777,37 +758,43 @@ class RingMap:
         if p.window != self.source:
             raise WindowMismatchError("window %d, map expects %d" % (p.window, self.source))
         # h is fixed: its exponent moves to the target's h field, and each
-        # unit of it adds h_unit (one to the h field, one to the degree)
+        # unit of it adds h_unit (one to the h field, one to the degree).
+        # Each monomial is renumbered and filed under its affine exponents;
+        # each group is then multiplied once by the product of their powers.
         h_unit = _unit(self.target + 1, self.target)
-        acc = {}
-        if self._renumber is not None:
-            for key, coef in p._terms.items():
-                new = (key & _MASK) * h_unit
-                for shift, unit in self._renumber:
-                    e = key >> shift & _MASK
-                    if e:
-                        new += e * unit
-                s = acc.get(new, 0) + coef
-                if s:
-                    acc[new] = s
-                else:
-                    del acc[new]
-            return MultiPoly._raw(self.target, acc)
+        renumber, affine = self._renumber, self._affine
+        groups = {}
         for key, coef in p._terms.items():
-            term = None
-            for i in range(self.source):
-                e = key >> FIELD * (self.source - i) & _MASK
+            new = (key & _MASK) * h_unit
+            for shift, unit in renumber:
+                e = key >> shift & _MASK
                 if e:
-                    pw = self._power(i + 1, e)
-                    term = pw if term is None else term * pw
-            shift = (key & _MASK) * h_unit
-            for m, c in ((0, 1),) if term is None else term._terms.items():
-                m += shift
-                s = acc.get(m, 0) + c * coef
+                    new += e * unit
+            group = tuple(key >> shift & _MASK for _, shift in affine) if affine else ()
+            terms = groups.get(group)
+            if terms is None:
+                groups[group] = {new: coef}
+            else:
+                s = terms.get(new, 0) + coef
                 if s:
-                    acc[m] = s
+                    terms[new] = s
                 else:
-                    del acc[m]
+                    del terms[new]
+        acc = groups.pop((0,) * len(affine), {})
+        for group, terms in groups.items():
+            factor = None
+            for (i, _), e in zip(affine, group):
+                if e:
+                    pw = self._power(i, e)
+                    factor = pw if factor is None else factor * pw
+            for m2, c2 in factor._terms.items():
+                for m1, c1 in terms.items():
+                    m = m1 + m2
+                    s = acc.get(m, 0) + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
         return MultiPoly._raw(self.target, acc)
 
     def compose(self, inner):

@@ -229,21 +229,22 @@ def beta_poly(n, beta):
 # -- subword dynamic program ---------------------------------------------
 
 
-def _min_target_distance(state, targets):
-    return min((state.inverse() * t).length() for t in targets)
-
-
-def subword_sums(word, n, targets):
+def subword_sums(word, n, targets, distances=None):
     """For each target w', the sum over subwords of ``word`` multiplying to w'
     of h^(l(word)-k) * prod(beta over chosen positions).
 
     Runs a left-to-right DP whose state is the partial product; skipping a
     letter multiplies by h, taking it multiplies by its beta and extends the
-    product.  States that cannot reach any target within the remaining length
-    are pruned.  Returns {target: MultiPoly}; absent subwords give 0.
+    product.  A state sigma is pruned once its distance min_t l(sigma^-1 t)
+    to the targets exceeds the remaining length.  The distance depends only
+    on sigma and the targets, so ``distances`` ({sigma: distance}, filled as
+    states appear) may be shared by every call with the same targets; a call
+    without it uses a dict of its own.  Returns {target: MultiPoly}; absent
+    subwords give 0.
     """
     targets = list(targets)
-    target_set = set(targets)
+    if distances is None:
+        distances = {}
     betas = beta_sequence(n, list(word))
     h = MultiPoly.h(n)
     states = {Permutation.identity(n): MultiPoly.one(n)}
@@ -266,11 +267,14 @@ def subword_sums(word, n, targets):
             else:
                 nxt[tau] = take
         if remaining:
-            states = {
-                sigma: val
-                for sigma, val in nxt.items()
-                if _min_target_distance(sigma, target_set) <= remaining
-            }
+            states = {}
+            for sigma, val in nxt.items():
+                dist = distances.get(sigma)
+                if dist is None:
+                    inv = sigma.inverse()
+                    dist = distances[sigma] = min((inv * t).length() for t in targets)
+                if dist <= remaining:
+                    states[sigma] = val
         else:
             states = nxt
     zero = MultiPoly.zero(n)

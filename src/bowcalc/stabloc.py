@@ -13,7 +13,9 @@ The stable basis values are computed by a resolution pipeline:
    come from cotangent bundles of partial flag varieties: a localization
    formula over reduced-word subwords, summed over a Young-subgroup coset,
    pushed through the dimension-collapsing substitution and divided by a pure
-   h normalization factor.
+   h normalization factor.  The coset elements share their root forms up to
+   sign, so each coset sum is one polynomial numerator divided once by those
+   forms.
 
 All results are exact polynomials in Q[t_1..t_N, h].
 """
@@ -176,25 +178,33 @@ def _coset_sums(delta, ws, targets):
     """The localization sums over the cosets w S_delta, one dict per w of
     ``ws``, for every target permutation w' at once: {w': sum over v of
     prefactor(wv) * subword sum(wv, w') / prod((wv).alpha)} as
-    LocalizedScalars."""
+    LocalizedScalars.
+
+    v permutes each delta block, so the forms (wv).alpha over the roots
+    inside the blocks are those of w for every v, up to the sign dsgn: the
+    numerators are summed as polynomials and divided once per (w, w').  All
+    subword sums share the targets, hence one table of pruning distances.
+    """
     n = delta.total
-    zero = LocalizedScalar.from_poly(MultiPoly.zero(n))
+    zero = MultiPoly.zero(n)
+    distances = {}
     for w in ws:
+        _, forms = _block_root_denominator(delta, w)
         acc = dict.fromkeys(targets, zero)
         for v in young_elements(delta):
             z = w * v
             word = reduced_word(z)
-            sums = subword_sums(word, n, targets)
+            sums = subword_sums(word, n, targets, distances)
             prefac = None
             for tgt in acc:
                 num = sums[tgt]
                 if num.is_zero():
                     continue
                 if prefac is None:
-                    prefac = loop_free_prefactor(n, word)
-                    dsgn, forms = _block_root_denominator(delta, z)
-                acc[tgt] = acc[tgt] + LocalizedScalar(prefac * num * dsgn, forms)
-        yield acc
+                    dsgn, _ = _block_root_denominator(delta, z)
+                    prefac = loop_free_prefactor(n, word) * dsgn
+                acc[tgt] = acc[tgt] + prefac * num
+        yield {tgt: LocalizedScalar(num, forms) for tgt, num in acc.items()}
 
 
 def stab_partial_flag(delta, w, w_prime):

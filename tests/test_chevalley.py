@@ -260,7 +260,7 @@ def test_both_oracle_routes_reject_corruption(monkeypatch):
         assert not bad == cm_matrix_oracle(d, zid, j)
         assert not bad == cm_matrix_pairing(d, zid, j)
         # a flipped off-diagonal grid entry; the memoized grid is read-only,
-        # so both routes read a corrupted copy
+        # so both routes read a corrupted copy, past their memos
         with monkeypatch.context() as m:
             m.setattr(
                 chevalley,
@@ -270,5 +270,5 @@ def test_both_oracle_routes_reject_corruption(monkeypatch):
                 else stab_grid(diagram, z, normalized),
             )
             terms = _pairing_terms.__wrapped__(d, zid)
-            assert _rejects(lambda: cm_matrix_oracle(d, zid, j), good)
+            assert _rejects(lambda: cm_matrix_oracle.__wrapped__(d, zid, j), good)
             assert _rejects(lambda: cm_matrix_pairing(d, zid, j, terms), good)

@@ -164,6 +164,8 @@ def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
     else:
         bad[(t, t)] = MultiPoly.zero(d.N)
     monkeypatch.setattr(chevalley, "stab_grid", lambda diagram, z, normalized=False: bad)
+    # the oracle is memoized: solve afresh on the patched grid
+    monkeypatch.setattr(chevalley, "cm_matrix_oracle", chevalley.cm_matrix_oracle.__wrapped__)
     code, out, err = run(capsys, "cm", "--diagram", RES, "--bundle", "2", "--oracle", "--json")
     assert code == MATH_ERROR
     assert out == ""

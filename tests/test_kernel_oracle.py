@@ -62,10 +62,6 @@ LINEAR = {
     ).map(lambda d, w=w: MultiPoly(w, d))
     for w in WINDOWS
 }
-POINTS = {
-    w: st.lists(st.integers(-4, 4) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]), min_size=w + 1, max_size=w + 1)
-    for w in WINDOWS
-}
 PERMUTATIONS = {w: st.permutations(range(1, w + 1)).map(Permutation) for w in WINDOWS}
 
 
@@ -147,24 +143,13 @@ def test_term_order_matches_grlex(p):
         assert (mono, QQ(coef.numerator, coef.denominator)) == P.LT
 
 
-@st.composite
-def evaluation_inputs(draw):
-    p = draw(polys())
-    point = draw(POINTS[p.window])
-    return p, point
-
-
 @PROPERTY
-@given(evaluation_inputs())
-def test_queries_match_sympy(inputs):
-    p, point = inputs
+@given(polys())
+def test_queries_match_sympy(p):
     P = to_sympy(p)
     monoms = P.monoms()
     assert p.degree() == (max(sum(m) for m in monoms) if P else -1)
     assert p.h_valuation() == (min(m[-1] for m in monoms) if P else float("inf"))
-    got = p.evaluate(point[:-1], point[-1])
-    want = P(*[QQ(Fraction(v).numerator, Fraction(v).denominator) for v in point])
-    assert got == Fraction(int(want.numerator), int(want.denominator))
 
 
 @st.composite

@@ -4,7 +4,13 @@ stores nothing."""
 
 import pytest
 
-from bowcalc.chevalley import _chern_table, _pairing_terms, _tangent_factors, fixed_points
+from bowcalc.chevalley import (
+    _chern_table,
+    _pairing_terms,
+    _tangent_factors,
+    cm_matrix_oracle,
+    fixed_points,
+)
 from bowcalc.diagrams import BraneDiagram, DiagramError, essential, separate
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
@@ -68,6 +74,26 @@ def test_pairing_tables_are_shared_and_read_only():
     with pytest.raises(TypeError):
         chern[k[0]] = MultiPoly.zero(d.N)
     assert _chern_table(d, 2) is chern
+
+
+def test_oracle_matrix_is_shared_and_read_only():
+    d = BraneDiagram.parse(DIAGRAM)
+    z = Permutation.identity(d.N)
+    matrix = cm_matrix_oracle(d, z, 2)
+    before = matrix.to_json()
+    k = next(iter(matrix.entries))
+    with pytest.raises(TypeError):
+        matrix.entries[k] = MultiPoly.zero(d.N)
+    with pytest.raises(TypeError):
+        del matrix.entries[k]
+    with pytest.raises(TypeError):
+        matrix.basis[0] = k[0]
+    shifted = matrix.add_scalar_diagonal(MultiPoly.h(d.N))
+    assert shifted.entries is not matrix.entries
+    again = cm_matrix_oracle(d, z, 2)
+    assert again is matrix
+    assert again.to_json() == before
+    assert cm_matrix_oracle(d, z, 1) is not matrix
 
 
 def test_shared_values_are_immutable():

@@ -2,6 +2,8 @@ import random
 from itertools import permutations as iter_perms
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import (
@@ -23,12 +25,14 @@ from bowcalc.permcalc import (
     min_rep_right,
     reduced_word,
     subword_sum,
+    subword_sums,
     tilde_w,
     tilde_y,
     w_distinguished,
     young_elements,
     young_longest,
 )
+from test_localized_oracle import PROPERTY
 
 W = Permutation.parse
 
@@ -276,3 +280,54 @@ def test_reduced_word_class():
     assert len(rw) == 7
     assert rw.permutation() == W("35412")
     assert len(rw.betas) == 7
+
+
+# -- pruning soundness of the subword DP -----------------------------------
+
+
+def brute_subword_sums(word, n, targets):
+    """The subword sums over all 2^l subwords, without pruning."""
+    betas = beta_sequence(n, word)
+    h = MultiPoly.h(n)
+    out = {t: MultiPoly.zero(n) for t in targets}
+    for mask in range(1 << len(word)):
+        sigma, term = Permutation.identity(n), MultiPoly.one(n)
+        for k, (a, beta) in enumerate(zip(word, betas)):
+            if mask >> k & 1:
+                sigma, term = sigma * Permutation.simple(n, a), term * beta_poly(n, beta)
+            else:
+                term = term * h
+        if sigma in out:
+            out[sigma] = out[sigma] + term
+    return out
+
+
+@st.composite
+def words_and_targets(draw):
+    n = draw(st.integers(1, 4))
+    perms = st.permutations(range(1, n + 1)).map(Permutation)
+    words = [
+        reduced_word(w, rightmost=draw(st.booleans()))
+        for w in draw(st.lists(perms, min_size=1, max_size=4))
+    ]
+    targets = draw(st.lists(perms, min_size=1, max_size=5, unique=True))
+    return n, words, targets
+
+
+@PROPERTY
+@given(words_and_targets())
+def test_pruned_subword_sums_equal_brute_force(inputs):
+    n, words, targets = inputs
+    for word in words:
+        assert subword_sums(word, n, targets) == brute_subword_sums(word, n, targets)
+
+
+@PROPERTY
+@given(words_and_targets())
+def test_subword_sums_sharing_one_distance_table_equal_brute_force(inputs):
+    n, words, targets = inputs
+    distances = {}
+    for word in words:
+        assert subword_sums(word, n, targets, distances) == brute_subword_sums(word, n, targets)
+    for sigma, dist in distances.items():
+        assert dist == min((sigma.inverse() * t).length() for t in targets)

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bowcalc.diagrams import BraneDiagram, TieDiagram, enumerate_bct, flag_diagram, flag_tie
 from bowcalc.exactalg import MultiPoly, RingMap, factor_s_forms
@@ -15,6 +17,7 @@ from bowcalc.permcalc import (
     young_elements,
 )
 from bowcalc.stabloc import (
+    _block_root_denominator,
     chargeless_euler,
     n_euler,
     opposite_chamber,
@@ -26,11 +29,13 @@ from bowcalc.stabloc import (
     stab_partial_flag,
     stab_restriction,
     stab_tilde_antidominant,
+    stab_tilde_grid,
     stack_character,
     tangent_euler,
     taut_chern,
     taut_tables,
 )
+from test_localized_oracle import PROPERTY
 
 W = Permutation.parse
 
@@ -378,3 +383,41 @@ def test_transported_grids_are_pinned(text):
                 )
                 digest.update(line.encode())
     assert digest.hexdigest() == TRANSPORT_DIGESTS[text]
+
+
+@st.composite
+def compositions_and_perms(draw):
+    parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda p: sum(p) <= 6))
+    delta = Composition(parts)
+    return delta, Permutation(draw(st.permutations(range(1, delta.total + 1))))
+
+
+@PROPERTY
+@given(compositions_and_perms())
+def test_block_forms_are_the_same_on_a_young_coset(inputs):
+    # the coset sums divide once per coset by w's forms: (wv).alpha over the
+    # roots inside the blocks must be w's forms for every v, up to sign
+    delta, w = inputs
+    sgn, forms = _block_root_denominator(delta, w)
+    for v in young_elements(delta):
+        sgn_v, forms_v = _block_root_denominator(delta, w * v)
+        assert sorted(forms_v) == sorted(forms)
+        assert sgn_v == sgn * (-1) ** v.length()
+
+
+# SHA-256 of the sorted lines "eval|arg=value" of stab_tilde_grid on the three
+# 27-point diagrams that the stab-tables benchmark builds (0/1/3/4/5\4\3\1\0
+# and two chamber transports of it), recorded at 2f511a7, before each Young
+# coset sum was divided once
+TILDE_DIGESTS = {
+    "0/1/3/4/5\\3\\2\\1\\0": "018fd4bd55635e4ad1cd1ae4e89c977b1e0be5bdcd5c28a7b431bcaf318b0386",
+    "0/1/3/4/5\\4\\2\\1\\0": "00d4fae83a9ca7904144df38263389b2bc9e4cb61f41c93ec446c4d3c93495e3",
+    "0/1/3/4/5\\4\\3\\1\\0": "585e4d078785aae6946b8bba6d60815e11b6beed6298369dfcbfb5d561ffce17",
+}
+
+
+@pytest.mark.parametrize("text", sorted(TILDE_DIGESTS))
+def test_27_point_tilde_grids_are_pinned(text):
+    grid = stab_tilde_grid(BraneDiagram.parse(text))
+    lines = sorted("%s|%s=%s\n" % (e, a, v) for (e, a), v in grid.items())
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == TILDE_DIGESTS[text]
