@@ -88,7 +88,6 @@ from .chevalley import (
     CMMatrix,
     cm_matrix,
     cm_matrix_oracle,
-    fixed_points,
     gram_matrix,
     normalized_cm,
     verify,

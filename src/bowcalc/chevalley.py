@@ -15,10 +15,10 @@ from types import MappingProxyType
 
 from .diagrams import (
     TieDiagram,
+    bct_key,
     enumerate_bct,
     hanany_witten,
     move_sign,
-    parse_bct_key,
     simple_moves,
     simple_moves_rel,
 )
@@ -38,26 +38,31 @@ from .stabloc import (
 )
 
 
-def fixed_points(diagram):
-    return [TieDiagram.from_bct(diagram, A) for A in enumerate_bct(diagram)]
+@memo(lambda diagram: diagram.key())
+def _fixed_points(diagram):
+    """The fixed-point table {BCT key: TieDiagram}, in ``enumerate_bct`` order.
+
+    Every matrix, pairing and check on the diagram reads its basis, keys and
+    tie diagrams from this one table.
+    """
+    return {bct_key(A): TieDiagram.from_bct(diagram, A) for A in enumerate_bct(diagram)}
 
 
-@memo(lambda diagram, z, points: diagram.key())
-def _tangent_factors(diagram, z, points):
+@memo(lambda diagram, z: diagram.key())
+def _tangent_factors(diagram, z):
     """Tangent Euler classes, factored into S forms for localized division.
 
     Each tangent class is the product of the two opposite-chamber diagonal
     stable multiplicities; both are Euler classes, so they factor completely.
     The product e(T_T) does not depend on the chamber z (the normalization
     axiom), and its factorization into sorted S forms is unique, so one
-    table per diagram serves every chamber.
+    table per diagram serves every chamber; ``z`` only picks the grids read.
     """
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))
     bound = max(diagram.labels) + 2
     out = {}
-    for D in points:
-        key = D.key()
+    for key in _fixed_points(diagram):
         c1, h1, f1 = factor_s_forms(grid_c[(key, key)], max_abs_m=bound)
         c2, h2, f2 = factor_s_forms(grid_op[(key, key)], max_abs_m=bound)
         out[key] = (c1 * c2, h1 + h2, tuple(sorted(f1 + f2)))
@@ -97,11 +102,10 @@ def _pairing_terms(diagram, z):
     Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}, shared by the
     Gram matrix and every multiplication oracle on this diagram and chamber.
     """
-    points = fixed_points(diagram)
-    keys = [D.key() for D in points]
+    keys = list(_fixed_points(diagram))
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))
-    tangent = _tangent_factors(diagram, z, points)
+    tangent = _tangent_factors(diagram, z)
     # the nonzero opposite-chamber multiplicities at each fixed point T
     op_rows = {
         tk: [(dpk, grid_op[(tk, dpk)]) for dpk in keys if not grid_op[(tk, dpk)].is_zero()]
@@ -127,11 +131,9 @@ def virtual_pairing(diagram, z, vec_a, vec_b):
     ``vec_a`` and ``vec_b`` map fixed point keys to polynomials (the
     equivariant multiplicities of the two classes).
     """
-    points = fixed_points(diagram)
-    tangent = _tangent_factors(diagram, z, points)
+    tangent = _tangent_factors(diagram, z)
     total = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
-    for D in points:
-        key = D.key()
+    for key in _fixed_points(diagram):
         a, b = vec_a[key], vec_b[key]
         if a.is_zero() or b.is_zero():
             continue
@@ -228,22 +230,21 @@ def cm_matrix(diagram, z, j):
     """The Chevalley-Monk matrix of c_1(xi_j) from the combinatorial formula:
     interval-indexed twisted simple moves off the diagonal, tautological Chern
     restrictions on it."""
-    points = fixed_points(diagram)
-    basis = [D.key() for D in points]
     i = diagram.interval_index(j)
+    points = _fixed_points(diagram)
+    chern = _chern_table(diagram, j)
     h = MultiPoly.h(diagram.N)
     entries = {}
-    for D in points:
-        col = D.key()
-        entries[(col, col)] = taut_chern(D, j)
+    for col, D in points.items():
+        entries[(col, col)] = chern[col]
         for D_moved, sgn in simple_moves_rel(D, z, i):
             entries[(D_moved.key(), col)] = h * sgn
-    return CMMatrix(diagram, z, j, basis, entries)
+    return CMMatrix(diagram, z, j, points, entries)
 
 
 @memo(lambda diagram, j: (diagram.key(), j))
 def _chern_table(diagram, j):
-    return {D.key(): taut_chern(D, j) for D in fixed_points(diagram)}
+    return {key: taut_chern(D, j) for key, D in _fixed_points(diagram).items()}
 
 
 @memo(lambda diagram, z, j: (diagram.key(), z.one_line, j))
@@ -252,7 +253,7 @@ def cm_matrix_oracle(diagram, z, j):
     point T, sum_X Stab(X)|_T (C[X][D] - [X == D] c_1(xi_j)|_T) = 0.  T is solved
     after every X with Stab(X)|_T != 0 (the support axiom), by one exact division
     by Stab(T)|_T; CycleError or ZeroDivisionError means the grid is not triangular."""
-    basis = [D.key() for D in fixed_points(diagram)]
+    basis = list(_fixed_points(diagram))
     grid = stab_grid(diagram, z)
     chern = _chern_table(diagram, j)
     above = {T: [X for X in basis if X != T and not grid[(T, X)].is_zero()] for T in basis}
@@ -276,9 +277,8 @@ def normalized_cm(diagram, j):
     comp_r, comp_c = Composition(m.r), Composition(m.c)
     base = cm_matrix(diagram, Permutation.identity(diagram.N), j)
     signs = {}
-    for key in base.basis:
-        A = parse_bct_key(key, diagram.M, diagram.N)
-        signs[key] = -1 if tilde_w(A, comp_r, comp_c).length() % 2 else 1
+    for key, D in _fixed_points(diagram).items():
+        signs[key] = -1 if tilde_w(D.bct, comp_r, comp_c).length() % 2 else 1
     entries = {
         (r, c): v * (signs[r] * signs[c]) for (r, c), v in base.entries.items()
     }
@@ -316,17 +316,17 @@ def check_divisibility(diagram):
     """h^2 divides the antidominant multiplicity at D' of Stab(D) whenever D'
     is neither D nor a simple move of D."""
     z = Permutation.identity(diagram.N)
-    points = fixed_points(diagram)
+    points = _fixed_points(diagram)
     grid = stab_grid(diagram, z)
     failures = []
-    for D in points:
+    for key, D in points.items():
         moves = {Dp.key() for Dp, _ in simple_moves(D)}
-        for Dp in points:
-            if Dp.key() == D.key() or Dp.key() in moves:
+        for pkey in points:
+            if pkey == key or pkey in moves:
                 continue
-            val = grid[(Dp.key(), D.key())]
+            val = grid[(pkey, key)]
             if val.h_valuation() < 2:
-                failures.append({"arg": D.key(), "eval": Dp.key(), "value": str(val)})
+                failures.append({"arg": key, "eval": pkey, "value": str(val)})
     return failures
 
 
@@ -337,15 +337,16 @@ def check_congruence(diagram):
     N = diagram.N
     grid = stab_grid(diagram, z)
     failures = []
-    for D in fixed_points(diagram):
+    for key, D in _fixed_points(diagram).items():
         for Dp, move in simple_moves(D):
             i1, i2, j1, j2 = move
+            pkey = Dp.key()
             sgn = move_sign(D.bct, move)
-            lhs = MultiPoly.linear(N, {j1: 1, j2: -1}) * grid[(Dp.key(), D.key())]
-            rhs = MultiPoly.h(N) * sgn * grid[(Dp.key(), Dp.key())]
+            lhs = MultiPoly.linear(N, {j1: 1, j2: -1}) * grid[(pkey, key)]
+            rhs = MultiPoly.h(N) * sgn * grid[(pkey, pkey)]
             if (lhs - rhs).h_valuation() < 2:
                 failures.append(
-                    {"arg": D.key(), "eval": Dp.key(), "move": move, "delta": str(lhs - rhs)}
+                    {"arg": key, "eval": pkey, "move": move, "delta": str(lhs - rhs)}
                 )
     return failures
 
@@ -382,20 +383,19 @@ def check_hw_matrix_transport(diagram, z, bundles=None):
     return failures
 
 
-def verify(diagram, chambers=None, bundles=None, seed=0):
-    """Machine check of the main identities on one diagram.
+def verify(diagram, bundles=None, seed=0):
+    """Machine check of the main identities on one diagram, in the identity
+    chamber, the longest element's and one chamber drawn by ``seed``.
 
     Returns a report dict with one entry per check; each entry carries a
     boolean ``ok`` and a list of counterexample payloads.
     """
-    rng = random.Random(seed)
     N = diagram.N
-    if chambers is None:
-        ol = list(range(1, N + 1))
-        rng.shuffle(ol)
-        chambers = [Permutation.identity(N), Permutation.longest(N), Permutation(ol)]
-        if N <= 1:
-            chambers = [Permutation.identity(N)]
+    ol = list(range(1, N + 1))
+    random.Random(seed).shuffle(ol)
+    chambers = [Permutation.identity(N), Permutation.longest(N), Permutation(ol)]
+    if N <= 1:
+        chambers = [Permutation.identity(N)]
     if bundles is None:
         bundles = list(range(1, diagram.num_black + 1))
     report = {}

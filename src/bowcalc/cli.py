@@ -220,11 +220,11 @@ def cmd_pair(args):
     z = _chamber(args, d)
     Da = _tie(d, args.tie)
     Db = _tie(d, args.tie2)
-    points = chevalley.fixed_points(d)
+    keys = [bct_key(A) for A in enumerate_bct(d)]
     grid_c = stabloc.stab_grid(d, z)
     grid_op = stabloc.stab_grid(d, stabloc.opposite_chamber(z))
-    vec_a = {T.key(): grid_c[(T.key(), Da.key())] for T in points}
-    vec_b = {T.key(): grid_op[(T.key(), Db.key())] for T in points}
+    vec_a = {k: grid_c[(k, Da.key())] for k in keys}
+    vec_b = {k: grid_op[(k, Db.key())] for k in keys}
     value = chevalley.virtual_pairing(d, z, vec_a, vec_b)
     result = {
         "diagram": d.format(),

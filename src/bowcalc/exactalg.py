@@ -358,10 +358,6 @@ class MultiPoly:
 
     def exact_div(self, q):
         """Return r with q*r == self, or raise NotDivisibleError."""
-        if isinstance(q, (int, Fraction)):
-            if not q:
-                raise ZeroDivisionError("division by zero polynomial")
-            return self * (Fraction(1) / q)
         if not isinstance(q, MultiPoly):
             raise TypeError("cannot divide a MultiPoly by %s" % type(q).__name__)
         self._check(q)
@@ -641,9 +637,7 @@ class LocalizedScalar:
             # the product is formed
             other, rest = _cancel_forms(other, self.denoms)
             return LocalizedScalar(self.num * other, rest, reduce_now=False)
-        if not isinstance(other, LocalizedScalar):
-            return NotImplemented
-        return LocalizedScalar(self.num * other.num, self.denoms + other.denoms)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -658,15 +652,6 @@ class LocalizedScalar:
 
     def __bool__(self):
         return not self.num.is_zero()
-
-    def h_congruent(self, other, power):
-        """Congruence mod h^power after clearing denominators.
-
-        All S forms are invertible mod h (they are nonzero at h = 0), so
-        a = b mod h^power iff h^power divides the cross-multiplied difference.
-        """
-        diff = self.num * other.denom_poly() - other.num * self.denom_poly()
-        return diff.h_valuation() >= power
 
     def __str__(self):
         if not self.denoms:
@@ -719,10 +704,6 @@ class RingMap:
         return cache[e]
 
     @classmethod
-    def identity(cls, window):
-        return cls(window, window, [MultiPoly.t(i, window) for i in range(1, window + 1)])
-
-    @classmethod
     def h_shift(cls, window, shifts):
         """t_j -> t_j + shifts[j]*h (shifts maps index -> integer)."""
         images = []
@@ -740,21 +721,6 @@ class RingMap:
         return cls(source, target, [MultiPoly.t(index_map[i], target) for i in range(1, source + 1)])
 
     def __call__(self, p):
-        if isinstance(p, LocalizedScalar):
-            out = LocalizedScalar.from_poly(self(p.num))
-            h_key = _unit(self.target + 1, self.target)
-            t_fields = (1 << _degree_shift(self.target)) - 1 - _MASK
-            for form in p.denoms:
-                img = self(form.as_poly(p.window))
-                # the image is linear, so c*(t_a - t_b + m*h) shows its |m| as
-                # |h coefficient| / |t coefficient|
-                t_coefs = [abs(c) for key, c in img._terms.items() if key & t_fields]
-                h_coef = abs(img._terms.get(h_key, 0))
-                c, hpow, forms = factor_s_forms(img, max_abs_m=h_coef // min(t_coefs, default=1))
-                if hpow or len(forms) != 1:
-                    raise NonPolynomialError("denominator image is not a single S form")
-                out = LocalizedScalar(out.num * (Fraction(1) / c), out.denoms + (forms[0],))
-            return out
         if p.window != self.source:
             raise WindowMismatchError("window %d, map expects %d" % (p.window, self.source))
         # h is fixed: its exponent moves to the target's h field, and each

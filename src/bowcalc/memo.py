@@ -1,6 +1,6 @@
 """The one memo of the package: a keyed store for the tables that many
-queries read (stable-envelope grids, pairing summands, tangent factors,
-Chern tables)."""
+queries read (fixed-point tables, stable-envelope grids, pairing summands,
+tangent factors, Chern tables)."""
 
 import functools
 from types import MappingProxyType

@@ -87,10 +87,6 @@ class Permutation:
     def is_identity(self):
         return self.one_line == tuple(range(1, self.n + 1))
 
-    def descents(self):
-        ol = self.one_line
-        return [i + 1 for i in range(self.n - 1) if ol[i] > ol[i + 1]]
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.one_line == other.one_line
 

@@ -352,8 +352,6 @@ def _chamber_base(diagram, z):
     z.diagram, and the RingMap ``back`` (t_i -> t_{z^-1(i)}) takes
     grid[(move(e), move(a))] to the normalized multiplicity at (e, a).
     """
-    if z.is_identity():
-        return (lambda key: key), stab_tilde_grid(diagram), RingMap.identity(diagram.N)
     M, N = diagram.M, diagram.N
 
     def move(key):
@@ -361,13 +359,6 @@ def _chamber_base(diagram, z):
 
     back = RingMap.renumber(N, N, dict(enumerate(z.inverse().one_line, 1)))
     return move, stab_tilde_grid(sn_act(z, diagram)), back
-
-
-def stab_tilde_chamber(diagram, z, ekey, akey):
-    """Normalized multiplicity for the chamber z^-1.C_- on a separated
-    essential diagram, via the symmetric group action."""
-    move, grid, back = _chamber_base(diagram, z)
-    return back(grid[(move(ekey), move(akey))])
 
 
 @memo(lambda diagram, z, normalized=False: (diagram.key(), z.one_line, normalized))

@@ -8,7 +8,7 @@ independent of the triangular solve in ``cm_matrix_oracle``, which never
 pairs, never divides by a tangent class and never reads the opposite grid.
 """
 
-from bowcalc.chevalley import CMMatrix, _chern_table, _pairing_terms, fixed_points
+from bowcalc.chevalley import CMMatrix, _chern_table, _fixed_points, _pairing_terms
 from bowcalc.exactalg import LocalizedScalar, MultiPoly
 
 
@@ -20,7 +20,7 @@ def cm_matrix_pairing(diagram, z, j, pair_terms=None):
     """
     if pair_terms is None:
         pair_terms = _pairing_terms(diagram, z)
-    basis = [D.key() for D in fixed_points(diagram)]
+    basis = list(_fixed_points(diagram))
     chern = _chern_table(diagram, j)
     zero = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
     entries = {}

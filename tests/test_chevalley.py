@@ -5,6 +5,7 @@ from fractions import Fraction
 from bowcalc import chevalley
 from bowcalc.chevalley import (
     CMMatrix,
+    _chern_table,
     _pairing_terms,
     _tangent_factors,
     check_congruence,
@@ -13,13 +14,12 @@ from bowcalc.chevalley import (
     check_orthogonality,
     cm_matrix,
     cm_matrix_oracle,
-    fixed_points,
     gram_matrix,
     normalized_cm,
     verify,
     virtual_pairing,
 )
-from bowcalc.diagrams import BraneDiagram, TieDiagram, flag_diagram
+from bowcalc.diagrams import BraneDiagram, TieDiagram, enumerate_ties, flag_diagram
 from bowcalc.exactalg import LocalizedScalar, MultiPoly, NonPolynomialError, NotDivisibleError
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import opposite_chamber, stab_grid
@@ -39,7 +39,7 @@ def test_orthogonality_small():
 def test_pairing_bilinearity():
     d = BraneDiagram.parse(RES_DIAGRAM)
     zid = Permutation.identity(3)
-    pts = fixed_points(d)
+    pts = enumerate_ties(d)
     grid = stab_grid(d, zid)
     grid_op = stab_grid(d, opposite_chamber(zid))
     a1 = {T.key(): grid[(T.key(), pts[0].key())] for T in pts}
@@ -57,14 +57,13 @@ def test_pairing_bilinearity():
 def test_pairing_summands_match_product_then_reduce():
     # every summand, in T order, against reducing the whole product a*b
     d = BraneDiagram.parse("0/1/2/4\\3\\2\\1\\0")
-    pts = fixed_points(d)
-    keys = [D.key() for D in pts]
+    keys = [D.key() for D in enumerate_ties(d)]
     shuffled = list(range(1, d.N + 1))
     random.Random(4).shuffle(shuffled)  # the chamber 3142
     for z in (Permutation.identity(d.N), Permutation(shuffled)):
         grid = stab_grid(d, z)
         grid_op = stab_grid(d, opposite_chamber(z))
-        tangent = _tangent_factors(d, z, pts)
+        tangent = _tangent_factors(d, z)
         terms = _pairing_terms(d, z)
         for dk in keys:
             for dpk in keys:
@@ -83,15 +82,14 @@ def test_tangent_factors_do_not_depend_on_the_chamber():
     # factors uniquely, so _tangent_factors is memoized per diagram alone
     for text in (RES_DIAGRAM, "0/1/3\\2/3\\2\\0"):
         d = BraneDiagram.parse(text)
-        pts = fixed_points(d)
         chambers = [Permutation(list(ol)) for ol in itertools.permutations(range(1, d.N + 1))]
         assert chambers[0].is_identity()
-        want = _tangent_factors.__wrapped__(d, chambers[0], pts)
+        want = _tangent_factors.__wrapped__(d, chambers[0])
         for z in chambers[1:]:
-            assert _tangent_factors.__wrapped__(d, z, pts) == want
-        shared = _tangent_factors(d, chambers[-1], pts)
+            assert _tangent_factors.__wrapped__(d, z) == want
+        shared = _tangent_factors(d, chambers[-1])
         assert dict(shared) == want
-        assert all(_tangent_factors(d, z, pts) is shared for z in chambers)
+        assert all(_tangent_factors(d, z) is shared for z in chambers)
 
 
 def test_cm_column_golden():
@@ -124,6 +122,22 @@ def test_cm_equals_oracle_small():
     zid = Permutation.identity(3)
     for j in range(1, d.num_black + 1):
         assert cm_matrix(d, zid, j) == cm_matrix_oracle(d, zid, j)
+
+
+def test_cm_diagonal_is_the_shared_chern_table():
+    # the formula and the oracle read one memoized Chern restriction per
+    # fixed point; a zero restriction leaves no diagonal entry
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    for z in (Permutation.identity(3), W("231")):
+        for j in range(1, d.num_black + 1):
+            C = cm_matrix(d, z, j)
+            chern = _chern_table(d, j)
+            assert list(chern) == list(C.basis)
+            for k in C.basis:
+                if chern[k].is_zero():
+                    assert (k, k) not in C.entries
+                else:
+                    assert C.entry(k, k) is chern[k]
 
 
 def test_rank_zero_bundles_give_zero_matrix():
@@ -223,7 +237,7 @@ def test_gram_entries_equal_virtual_pairings():
     # virtual_pairing) divide the tangent classes the same way
     for text in (RES_DIAGRAM, "0/1/3\\2/3\\2\\0"):
         d = BraneDiagram.parse(text)
-        pts = fixed_points(d)
+        pts = enumerate_ties(d)
         for z in (Permutation.identity(3), W("231")):
             grid = stab_grid(d, z)
             grid_op = stab_grid(d, opposite_chamber(z))

@@ -2,16 +2,26 @@
 object, a caller cannot change what later callers read, and a failed call
 stores nothing."""
 
+from types import MappingProxyType
+
 import pytest
 
 from bowcalc.chevalley import (
     _chern_table,
+    _fixed_points,
     _pairing_terms,
     _tangent_factors,
     cm_matrix_oracle,
-    fixed_points,
 )
-from bowcalc.diagrams import BraneDiagram, DiagramError, essential, separate
+from bowcalc.diagrams import (
+    BraneDiagram,
+    DiagramError,
+    bct_key,
+    enumerate_bct,
+    enumerate_ties,
+    essential,
+    separate,
+)
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import stab_grid, stab_tilde_grid
@@ -51,6 +61,17 @@ def test_stab_tilde_grid_is_shared_and_read_only():
     assert _snapshot(stab_tilde_grid(d)) == before
 
 
+def test_fixed_point_table_is_shared_and_read_only():
+    d = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
+    points = _fixed_points(d)
+    assert isinstance(points, MappingProxyType)
+    assert _fixed_points(d) is points
+    assert list(points) == [bct_key(A) for A in enumerate_bct(d)]
+    assert list(points.values()) == enumerate_ties(d)
+    with pytest.raises(TypeError):
+        points[next(iter(points))] = None
+
+
 def test_pairing_tables_are_shared_and_read_only():
     d = BraneDiagram.parse(DIAGRAM)
     z = Permutation.identity(d.N)
@@ -64,11 +85,11 @@ def test_pairing_tables_are_shared_and_read_only():
     assert again is terms
     assert {k: [(tk, str(s)) for tk, s in v] for k, v in again.items()} == before
 
-    tangent = _tangent_factors(d, z, fixed_points(d))
+    tangent = _tangent_factors(d, z)
     with pytest.raises(TypeError):
         tangent[k[0]] = None
     assert all(isinstance(forms, tuple) for _, _, forms in tangent.values())
-    assert _tangent_factors(d, z, fixed_points(d)) is tangent
+    assert _tangent_factors(d, z) is tangent
 
     chern = _chern_table(d, 2)
     with pytest.raises(TypeError):
@@ -108,11 +129,11 @@ def test_shared_values_are_immutable():
         value.terms[next(iter(value.terms))] = 0
     assert str(stab_grid(d, z)[key]) == "t1 - t2"
 
-    tangent = _tangent_factors(d, z, fixed_points(d))
+    tangent = _tangent_factors(d, z)
     form = tangent[key[0]][2][0]
     with pytest.raises(AttributeError):
         form.m = 5
-    assert _tangent_factors(d, z, fixed_points(d))[key[0]][2][0] == form
+    assert _tangent_factors(d, z)[key[0]][2][0] == form
 
 
 def test_failed_call_is_not_stored():

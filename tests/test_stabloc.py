@@ -339,16 +339,6 @@ def test_chamber_transport_consistency():
             assert hpow == 0
 
 
-def test_tilde_chamber_helper_matches_grid():
-    from bowcalc.stabloc import stab_tilde_chamber
-
-    d = BraneDiagram.parse(RES_DIAGRAM)
-    z = W("231")
-    grid = stab_grid(d, z, normalized=True)
-    for (e, a), val in grid.items():
-        assert stab_tilde_chamber(d, z, e, a) == val
-
-
 def test_normalized_grid_relation():
     d = BraneDiagram.parse(RES_DIAGRAM)
     for z in (Permutation.identity(3), W("231")):
