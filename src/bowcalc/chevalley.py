@@ -14,9 +14,7 @@ from graphlib import TopologicalSorter
 from types import MappingProxyType
 
 from .diagrams import (
-    TieDiagram,
-    bct_key,
-    enumerate_bct,
+    _fixed_points,
     hanany_witten,
     move_sign,
     simple_moves,
@@ -32,21 +30,10 @@ from .exactalg import (
 from .memo import memo
 from .permcalc import Composition, Permutation, tilde_w
 from .stabloc import (
+    _chern_table,
     opposite_chamber,
     stab_grid,
-    taut_chern,
 )
-
-
-@memo(lambda diagram: diagram.key())
-def _fixed_points(diagram):
-    """The fixed-point table {BCT key: TieDiagram}, in ``enumerate_bct`` order.
-
-    Every matrix, pairing and check on the diagram reads its basis, keys and
-    tie diagrams from this one table.
-    """
-    return {bct_key(A): TieDiagram.from_bct(diagram, A) for A in enumerate_bct(diagram)}
-
 
 @memo(lambda diagram, z: diagram.key())
 def _tangent_factors(diagram, z):
@@ -226,6 +213,7 @@ class CMMatrix:
         }
 
 
+@memo(lambda diagram, z, j: (diagram.key(), z.one_line, j))
 def cm_matrix(diagram, z, j):
     """The Chevalley-Monk matrix of c_1(xi_j) from the combinatorial formula:
     interval-indexed twisted simple moves off the diagonal, tautological Chern
@@ -240,11 +228,6 @@ def cm_matrix(diagram, z, j):
         for D_moved, sgn in simple_moves_rel(D, z, i):
             entries[(D_moved.key(), col)] = h * sgn
     return CMMatrix(diagram, z, j, points, entries)
-
-
-@memo(lambda diagram, j: (diagram.key(), j))
-def _chern_table(diagram, j):
-    return {key: taut_chern(D, j) for key, D in _fixed_points(diagram).items()}
 
 
 @memo(lambda diagram, z, j: (diagram.key(), z.one_line, j))

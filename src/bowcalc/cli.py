@@ -17,8 +17,7 @@ from .diagrams import (
     BraneDiagram,
     DiagramError,
     TieDiagram,
-    bct_key,
-    enumerate_bct,
+    _fixed_points,
     gale_ryser_feasible,
     hanany_witten,
     parse_bct_key,
@@ -104,17 +103,14 @@ def emit(args, command, inputs, result, pretty_lines=None):
 
 def cmd_fixed_points(args):
     d = _admissible_diagram(args)
-    tables = enumerate_bct(d)
-    points = []
-    for A in tables:
-        D = TieDiagram.from_bct(d, A)
-        points.append(
-            {
-                "key": bct_key(A),
-                "bct": [list(row) for row in A],
-                "ties": [["%s%d" % a, "%s%d" % b] for a, b in D.sorted_ties()],
-            }
-        )
+    points = [
+        {
+            "key": key,
+            "bct": [list(row) for row in D.bct],
+            "ties": [["%s%d" % a, "%s%d" % b] for a, b in D.sorted_ties()],
+        }
+        for key, D in _fixed_points(d).items()
+    ]
     m = d.margins()
     result = {
         "diagram": d.format(),
@@ -220,7 +216,7 @@ def cmd_pair(args):
     z = _chamber(args, d)
     Da = _tie(d, args.tie)
     Db = _tie(d, args.tie2)
-    keys = [bct_key(A) for A in enumerate_bct(d)]
+    keys = list(_fixed_points(d))
     grid_c = stabloc.stab_grid(d, z)
     grid_op = stabloc.stab_grid(d, stabloc.opposite_chamber(z))
     vec_a = {k: grid_c[(k, Da.key())] for k in keys}

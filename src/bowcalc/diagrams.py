@@ -15,6 +15,8 @@ and column margins c, rows indexed by V_1..V_M, columns by U_1..U_N.
 
 from collections import namedtuple
 
+from .memo import memo
+
 
 class DiagramError(ValueError):
     pass
@@ -258,19 +260,29 @@ def parse_bct_key(key, M, N):
 
 
 class TieDiagram:
-    """A brane diagram plus its set of ties, keyed by the BCT."""
+    """A brane diagram plus its set of ties, keyed by the BCT.
+
+    Read-only once constructed, so that the fixed-point table can share its
+    tie diagrams with every caller.
+    """
 
     __slots__ = ("diagram", "ties", "bct")
 
     def __init__(self, diagram, ties):
-        self.diagram = diagram
+        object.__setattr__(self, "diagram", diagram)
         ties = frozenset(tuple(t) for t in ties)
         for left, right in ties:
             if left[0] == right[0]:
                 raise DiagramError("tie endpoints must have opposite colors")
-        self.ties = ties
-        self.bct = tie_to_bct(self)
+        object.__setattr__(self, "ties", ties)
+        object.__setattr__(self, "bct", tie_to_bct(self))
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TieDiagram is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("TieDiagram is read-only")
 
     def _validate(self):
         reds = self.diagram.red_positions()
@@ -357,8 +369,20 @@ def bct_to_tie(diagram, bct):
     return TieDiagram(diagram, ties)
 
 
+@memo(lambda diagram: diagram.key())
+def _fixed_points(diagram):
+    """The fixed-point table {BCT key: TieDiagram}, in ``enumerate_bct`` order.
+
+    Every matrix, pairing and check on the diagram reads its basis, keys and
+    tie diagrams from this one table.
+    """
+    return {bct_key(A): bct_to_tie(diagram, A) for A in enumerate_bct(diagram)}
+
+
 def enumerate_ties(diagram):
-    return [bct_to_tie(diagram, b) for b in enumerate_bct(diagram)]
+    """The fixed points as tie diagrams, in ``enumerate_bct`` order: a fresh
+    list of the shared, read-only table's values."""
+    return list(_fixed_points(diagram).values())
 
 
 # -- Hanany-Witten transitions ---------------------------------------------

@@ -156,7 +156,7 @@ class MultiPoly:
     (t exponents first, h exponent last).
     """
 
-    __slots__ = ("window", "_terms", "_hash")
+    __slots__ = ("window", "_terms", "_hash", "_str")
 
     def __init__(self, window, terms=None):
         self.window = window
@@ -169,6 +169,7 @@ class MultiPoly:
                     clean[key] = coef
         self._terms = clean
         self._hash = None
+        self._str = None
 
     @property
     def terms(self):
@@ -184,6 +185,7 @@ class MultiPoly:
         self.window = window
         self._terms = terms
         self._hash = None
+        self._str = None
         return self
 
     @classmethod
@@ -416,6 +418,11 @@ class MultiPoly:
         return ["t%d" % (i + 1) for i in range(self.window)] + ["h"]
 
     def __str__(self):
+        if self._str is None:
+            self._str = self._format()
+        return self._str
+
+    def _format(self):
         if not self._terms:
             return "0"
         names = self._var_names()

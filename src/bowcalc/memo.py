@@ -1,6 +1,15 @@
 """The one memo of the package: a keyed store for the tables that many
-queries read (fixed-point tables, stable-envelope grids, pairing summands,
-tangent factors, Chern tables)."""
+queries read.
+
+It holds, per diagram, the fixed-point table (``diagrams._fixed_points``,
+which ``enumerate_ties`` lists) and the Chern tables
+(``stabloc._chern_table``, which ``taut_chern`` reads); the stable-envelope
+grids (``stab_tilde_grid``, ``stab_grid``); the tangent Euler classes
+(``tangent_euler``) and their factors (``chevalley._tangent_factors``); the
+pairing summands (``chevalley._pairing_terms``); and the Chevalley-Monk
+matrices of the formula and the oracle (``cm_matrix``,
+``cm_matrix_oracle``).  ``restrict_taut`` is not memoized: a ``Character``
+is mutable."""
 
 import functools
 from types import MappingProxyType

@@ -84,9 +84,6 @@ class Permutation:
             self._len = len(self.inversions())
         return self._len
 
-    def is_identity(self):
-        return self.one_line == tuple(range(1, self.n + 1))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.one_line == other.one_line
 

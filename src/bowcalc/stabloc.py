@@ -25,6 +25,7 @@ from collections import Counter
 from .diagrams import (
     DiagramError,
     TieDiagram,
+    _fixed_points,
     bct_key,
     enumerate_bct,
     essential_tie,
@@ -128,8 +129,17 @@ def restrict_taut(D, i):
 
 
 def taut_chern(D, i):
-    """Equivariant first Chern class restriction: the sum of the weights."""
-    return restrict_taut(D, i).weight_sum()
+    """Equivariant first Chern class restriction: the sum of the weights,
+    read from the diagram's shared Chern table."""
+    if not 1 <= i <= D.diagram.num_black:
+        raise DiagramError("black line index out of range")
+    return _chern_table(D.diagram, i)[D.key()]
+
+
+@memo(lambda diagram, i: (diagram.key(), i))
+def _chern_table(diagram, i):
+    """{fixed point key: c_1(xi_i)|_T}, in the fixed-point table's order."""
+    return {key: restrict_taut(D, i).weight_sum() for key, D in _fixed_points(diagram).items()}
 
 
 # -- localization formula for cotangent bundles of flag varieties -------------
@@ -428,6 +438,7 @@ def opposite_chamber(z):
     return Permutation.longest(z.n) * z
 
 
+@memo(lambda diagram, z, D: (diagram.key(), z.one_line, D.key()))
 def tangent_euler(diagram, z, D):
     """Euler class of the full tangent space at the fixed point D: the product
     of the two diagonal stable multiplicities for a chamber and its opposite.

@@ -8,8 +8,10 @@ independent of the triangular solve in ``cm_matrix_oracle``, which never
 pairs, never divides by a tangent class and never reads the opposite grid.
 """
 
-from bowcalc.chevalley import CMMatrix, _chern_table, _fixed_points, _pairing_terms
+from bowcalc.chevalley import CMMatrix, _pairing_terms
+from bowcalc.diagrams import _fixed_points
 from bowcalc.exactalg import LocalizedScalar, MultiPoly
+from bowcalc.stabloc import _chern_table
 
 
 def cm_matrix_pairing(diagram, z, j, pair_terms=None):

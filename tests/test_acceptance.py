@@ -100,7 +100,7 @@ def random_chamber(N, seed):
     while True:
         rng.shuffle(ol)
         z = Permutation(ol)
-        if not z.is_identity() and z != Permutation.longest(N):
+        if z != Permutation.identity(N) and z != Permutation.longest(N):
             return z
 
 

@@ -134,7 +134,10 @@ def polys(draw):
 @given(polys())
 def test_term_order_matches_grlex(p):
     P = to_sympy(p)
-    assert str(p) == sympy_str(P, p.window)
+    first = str(p)
+    assert first == sympy_str(P, p.window)
+    # the second call returns the cached string, unchanged
+    assert str(p) is first and str(p) == sympy_str(P, p.window)
     assert [tuple(t["exps"].get(n, 0) for n in names(p.window)) for t in p.structured()] == [
         m for m, _ in P.terms()
     ]

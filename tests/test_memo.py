@@ -7,15 +7,16 @@ from types import MappingProxyType
 import pytest
 
 from bowcalc.chevalley import (
-    _chern_table,
-    _fixed_points,
     _pairing_terms,
     _tangent_factors,
+    cm_matrix,
     cm_matrix_oracle,
 )
 from bowcalc.diagrams import (
     BraneDiagram,
     DiagramError,
+    TieDiagram,
+    _fixed_points,
     bct_key,
     enumerate_bct,
     enumerate_ties,
@@ -24,7 +25,7 @@ from bowcalc.diagrams import (
 )
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
-from bowcalc.stabloc import stab_grid, stab_tilde_grid
+from bowcalc.stabloc import _chern_table, stab_grid, stab_tilde_grid, tangent_euler, taut_chern
 
 DIAGRAM = "0/1/2\\1\\0"
 
@@ -70,6 +71,49 @@ def test_fixed_point_table_is_shared_and_read_only():
     assert list(points.values()) == enumerate_ties(d)
     with pytest.raises(TypeError):
         points[next(iter(points))] = None
+
+
+def test_enumerate_ties_lists_the_shared_read_only_table():
+    d = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
+    ties = enumerate_ties(d)
+    D = ties[0]
+    with pytest.raises(AttributeError):
+        D.ties = frozenset()
+    with pytest.raises(AttributeError):
+        del D.bct
+    ties.append(D)
+    ties.clear()
+    again = enumerate_ties(d)
+    assert again is not ties
+    assert len(again) == len(_fixed_points(d))
+    assert all(a is b for a, b in zip(again, _fixed_points(d).values()))
+    assert again[0] is D
+
+
+def test_query_results_are_shared():
+    d = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
+    z = Permutation.longest(d.N)
+    D = enumerate_ties(d)[1]
+    assert cm_matrix(d, z, 3) is cm_matrix(d, z, 3)
+    assert cm_matrix(d, z, 3) is not cm_matrix(d, z, 2)
+    assert tangent_euler(d, z, D) is tangent_euler(d, z, D)
+    assert taut_chern(D, 3) is taut_chern(D, 3) is _chern_table(d, 3)[D.key()]
+    # an equal tie diagram built by the caller reads the same entry
+    assert taut_chern(TieDiagram(d, D.ties), 3) is taut_chern(D, 3)
+
+
+def test_out_of_range_bundle_raises_and_stores_nothing():
+    d = BraneDiagram.parse(DIAGRAM)
+    z = Permutation.identity(d.N)
+    D = enumerate_ties(d)[0]
+    for _ in range(2):
+        for bad in (0, d.num_black + 1):
+            with pytest.raises(DiagramError):
+                taut_chern(D, bad)
+            with pytest.raises(DiagramError):
+                _chern_table(d, bad)
+            with pytest.raises(DiagramError):
+                cm_matrix(d, z, bad)
 
 
 def test_pairing_tables_are_shared_and_read_only():

@@ -54,7 +54,7 @@ def test_length_and_inversions():
 
 def test_compose_inverse():
     u, v = W("231"), W("312")
-    assert (u * v).is_identity()
+    assert u * v == Permutation.identity(3)
     assert u.inverse() == v
 
 
