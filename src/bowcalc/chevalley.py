@@ -17,6 +17,7 @@ from .diagrams import (
     _fixed_points,
     hanany_witten,
     move_sign,
+    separate,
     simple_moves,
     simple_moves_rel,
 )
@@ -86,8 +87,9 @@ def _tangent_summands(a, bs, tangent):
 def _pairing_terms(diagram, z):
     """Reduced localized summands Stab(D)|_T * Stab_op(D')|_T / e(T_T).
 
-    Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}, shared by the
-    Gram matrix and every multiplication oracle on this diagram and chamber.
+    Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}: the summands
+    ``gram_matrix`` adds up for this diagram and chamber, also read by the
+    pairing route in ``tests/pairing_route.py``.
     """
     keys = list(_fixed_points(diagram))
     grid_c = stab_grid(diagram, z)
@@ -339,12 +341,11 @@ def check_hw_matrix_transport(diagram, z, bundles=None):
     diagram pull back to those of the original, with the affine correction at
     the transformed bundle."""
     d = diagram
-    for k in range(2, d.num_black):
-        if d.colors[k - 2] == "\\" and d.colors[k - 1] == "/":
-            break
-    else:
+    _, moves = separate(d)
+    if not moves:
         return []  # already separated
-    d2, j0, i0 = hanany_witten(d, k)
+    k = moves[0][0]
+    d2, j0, _ = hanany_witten(d, k)
     phi = RingMap.h_shift(d.N, {j0: 1})
     failures = []
     if bundles is None:

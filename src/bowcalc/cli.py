@@ -18,7 +18,6 @@ from .diagrams import (
     DiagramError,
     TieDiagram,
     _fixed_points,
-    gale_ryser_feasible,
     hanany_witten,
     parse_bct_key,
     render_ascii,
@@ -52,16 +51,7 @@ def _diagram(args):
 
 def _admissible_diagram(args):
     d = _diagram(args)
-    try:
-        m = d.margins()
-    except DiagramError as e:
-        raise CliError("invalid margins: %s" % e, INADMISSIBLE)
-    if not gale_ryser_feasible(m.r, m.c):
-        raise CliError(
-            "inadmissible diagram: no 0/1 table with margins r=%s c=%s"
-            % (list(m.r), list(m.c)),
-            INADMISSIBLE,
-        )
+    d.admissible_margins()  # a DiagramError exits INADMISSIBLE in main()
     return d
 
 

@@ -165,12 +165,26 @@ class BraneDiagram:
             self.labels[p - 1] != self.labels[p] for p in range(1, self.num_colored + 1)
         )
 
-    def is_admissible(self):
+    def admissible_margins(self):
+        """The margins, or DiagramError if they are invalid or no 0/1 table
+        has them."""
         try:
             m = self.margins()
+        except DiagramError as e:
+            raise DiagramError("invalid margins: %s" % e)
+        if not gale_ryser_feasible(m.r, m.c):
+            raise DiagramError(
+                "inadmissible diagram: no 0/1 table with margins r=%s c=%s"
+                % (list(m.r), list(m.c))
+            )
+        return m
+
+    def is_admissible(self):
+        try:
+            self.admissible_margins()
         except DiagramError:
             return False
-        return gale_ryser_feasible(m.r, m.c)
+        return True
 
     def interval_index(self, j):
         """The interval containing black line X_j: the number of reds to its right."""

@@ -404,14 +404,6 @@ class MultiPoly:
                     rem.pop(m, None)
         return MultiPoly._raw(self.window, quot)
 
-    # -- substitution ------------------------------------------------------
-
-    def act_perm(self, w):
-        """Variable permutation t_i -> t_{w(i)}, h fixed (a ring automorphism)."""
-        if w.n != self.window:
-            raise WindowMismatchError("permutation window %d vs %d" % (w.n, self.window))
-        return RingMap.renumber(self.window, self.window, dict(enumerate(w.one_line, 1)))(self)
-
     # -- serialization -----------------------------------------------------
 
     def _var_names(self):
@@ -808,22 +800,6 @@ class Character:
         if other.window != self.window:
             raise WindowMismatchError("character windows differ")
         return Character(self.window, self.weights + other.weights)
-
-    def dual(self):
-        return Character(
-            self.window,
-            {tuple(-x for x in w): m for w, m in self.weights.items()},
-        )
-
-    def tensor(self, other):
-        """Tensor product: all pairwise weight sums with multiplicity."""
-        if other.window != self.window:
-            raise WindowMismatchError("character windows differ")
-        out = Counter()
-        for w1, m1 in self.weights.items():
-            for w2, m2 in other.weights.items():
-                out[tuple(a + b for a, b in zip(w1, w2))] += m1 * m2
-        return Character(self.window, out)
 
     def _poly(self, w):
         """The weight w as a linear polynomial."""

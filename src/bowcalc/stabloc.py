@@ -24,12 +24,10 @@ from collections import Counter
 
 from .diagrams import (
     DiagramError,
-    TieDiagram,
     _fixed_points,
     bct_key,
     enumerate_bct,
-    essential_tie,
-    parse_bct_key,
+    essential,
     permute_bct_columns,
     separate,
     sn_act,
@@ -312,12 +310,11 @@ def stack_character(diagram):
     return out
 
 
-def n_euler(diagram, z, part):
-    """Euler class of the positive ('+') or negative ('-') part of the
-    constant normal character, split by the chamber z^-1.C_-."""
-    char = stack_character(diagram)
-    pos, neg = char.split_by_chamber(z)
-    return (neg if part == "-" else pos).euler()
+def n_euler(diagram, z):
+    """Euler class of the negative part of the constant normal character,
+    split by the chamber z^-1.C_-."""
+    pos, neg = stack_character(diagram).split_by_chamber(z)
+    return neg.euler()
 
 
 def chargeless_character(diagram):
@@ -354,23 +351,6 @@ def _standardize(values):
     return Permutation(ol)
 
 
-def _chamber_base(diagram, z):
-    """Read the chamber z^-1.C_- of a separated essential diagram off one
-    antidominant grid, via the symmetric group action.
-
-    Returns (move, grid, back): ``move`` sends a fixed point key to its key on
-    z.diagram, and the RingMap ``back`` (t_i -> t_{z^-1(i)}) takes
-    grid[(move(e), move(a))] to the normalized multiplicity at (e, a).
-    """
-    M, N = diagram.M, diagram.N
-
-    def move(key):
-        return bct_key(permute_bct_columns(parse_bct_key(key, M, N), z))
-
-    back = RingMap.renumber(N, N, dict(enumerate(z.inverse().one_line, 1)))
-    return move, stab_tilde_grid(sn_act(z, diagram)), back
-
-
 @memo(lambda diagram, z, normalized=False: (diagram.key(), z.one_line, normalized))
 def stab_grid(diagram, z, normalized=False):
     """All multiplicities {(eval key, arg key): MultiPoly} for the chamber
@@ -391,15 +371,15 @@ def stab_grid(diagram, z, normalized=False):
     d_sep, moves = separate(d)
     m = d_sep.margins()
     N = d.N
-    bcts = enumerate_bct(d_sep)
-    keys = [bct_key(A) for A in bcts]
+    points = _fixed_points(d)  # a transition keeps every table
+    keys = list(points)
 
     if m.n == 0:
         return {(keys[0], keys[0]): MultiPoly.one(N)}
 
-    sample = TieDiagram.from_bct(d_sep, bcts[0])
-    sample_ess, kept_rows, kept_cols = essential_tie(sample)
-    d_ess = sample_ess.diagram
+    d_ess, removed = essential(d_sep)
+    kept_rows = [i for i in range(1, d.M + 1) if ("V", i) not in removed]
+    kept_cols = [j for j in range(1, N + 1) if ("U", j) not in removed]
     n_ess = d_ess.N
     z_ess = _standardize([z(k) for k in kept_cols])
     lift = RingMap.renumber(n_ess, N, {j: kept_cols[j - 1] for j in range(1, n_ess + 1)})
@@ -408,15 +388,18 @@ def stab_grid(diagram, z, normalized=False):
         shift = RingMap.h_shift(N, Counter(j0 for _, j0, _ in moves))
         lift = shift.compose(lift)
         iota = shift(iota)
-    norm_euler = lift(n_euler(d_ess, z_ess, "-"))
+    norm_euler = lift(n_euler(d_ess, z_ess))
 
-    move, base, back = _chamber_base(d_ess, z_ess)
+    # The chamber z_ess of d_ess is read off the antidominant grid of
+    # z_ess.d_ess: a fixed point moves with its columns, and the renumbering
+    # t_i -> t_{z_ess^-1(i)} takes the moved entry back.
+    base = stab_tilde_grid(sn_act(z_ess, d_ess))
+    back = RingMap.renumber(n_ess, n_ess, dict(enumerate(z_ess.inverse().one_line, 1)))
     sub = lift.compose(back)
-    rows = [i - 1 for i in kept_rows]
-    cols = [j - 1 for j in kept_cols]
-    base_keys = [
-        move(bct_key(tuple(tuple(A[i][j] for j in cols) for i in rows))) for A in bcts
-    ]
+    base_keys = []
+    for D in points.values():
+        restricted = tuple(tuple(D.bct[i - 1][j - 1] for j in kept_cols) for i in kept_rows)
+        base_keys.append(bct_key(permute_bct_columns(restricted, z_ess)))
     grid = {}
     for ekey, e in zip(keys, base_keys):
         for akey, a in zip(keys, base_keys):

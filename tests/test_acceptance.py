@@ -6,6 +6,7 @@ lines as they complete.
 """
 
 import random
+from itertools import permutations
 
 from bowcalc.chevalley import (
     check_congruence,
@@ -35,6 +36,7 @@ from bowcalc.permcalc import (
     young_elements,
 )
 from bowcalc.stabloc import (
+    opposite_chamber,
     resolution_normalizer,
     stab_full_flag,
     stab_grid,
@@ -190,7 +192,7 @@ def test_criterion_4_resolution_pipeline():
 
     plain = stab_restriction(d, Permutation.identity(3), De, Da)
     assert plain == h * (t(1) - t(2) + h) * (t(2) - t(3) + h)
-    assert plain * n_euler(d, Permutation.identity(3), "-") == val
+    assert plain * n_euler(d, Permutation.identity(3)) == val
     # twisted representative of the simple move family
     r, c = Composition((3, 2, 2, 3)), Composition((2, 3, 2, 1, 2))
     A = ((1, 1, 0, 0, 1), (0, 0, 1, 0, 1), (1, 1, 0, 0, 0), (0, 1, 1, 1, 0))
@@ -267,6 +269,26 @@ def test_cm_matrices_commute_on_family():
             for a in range(len(mats)):
                 for b in range(a + 1, len(mats)):
                     assert mats[a].compose(mats[b]) == mats[b].compose(mats[a]), (d.format(), str(z), a + 1, b + 1)
+
+
+def test_cm_matrix_self_adjoint():
+    # multiplication by c_1 is self-adjoint for the pairing, and Stab_-z is the
+    # dual basis of Stab_z, so C_-z is the transpose of C_z; no grid is built
+    texts = (
+        "0/1/2/3\\2\\1\\0",
+        "0/1/2/4\\3\\2\\1\\0",
+        "0/1/3/4\\3\\2\\1\\0",
+        RES_DIAGRAM,
+        NONSEP_DIAGRAM,
+        "0/1/2\\1\\2/1\\0",
+        "0/1/2/3\\2\\1\\1\\0",
+    )
+    for d in map(BraneDiagram.parse, texts):
+        for z in map(Permutation, permutations(range(1, d.N + 1))):
+            for j in range(1, d.num_black + 1):
+                c = cm_matrix(d, z, j).entries
+                c_op = cm_matrix(d, opposite_chamber(z), j).entries
+                assert c_op == {(col, row): v for (row, col), v in c.items()}, (d.format(), str(z), j)
 
 
 def test_criterion_8_divisibility_and_congruence():

@@ -105,6 +105,12 @@ def test_inadmissible_diagram(capsys):
     code, _, err = run(capsys, "fixed-points", "--diagram", "0/2\\2\\0", "--json")
     assert code == 3
     assert "inadmissible" in err or "invalid" in err
+    code, _, err = run(capsys, "fixed-points", "--diagram", "0/2\\0", "--json")
+    assert code == 3
+    assert err == "error: inadmissible diagram: no 0/1 table with margins r=[2] c=[2]\n"
+    code, _, err = run(capsys, "fixed-points", "--diagram", "0/1\\2\\0", "--json")
+    assert code == 3
+    assert err == "error: invalid margins: negative margin; diagram is invalid\n"
 
 
 def test_bad_tie_key(capsys):

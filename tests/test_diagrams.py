@@ -103,8 +103,10 @@ def test_admissibility():
     assert gale_ryser_feasible((2, 2, 1), (2, 1, 2))
     assert not gale_ryser_feasible((2,), (2,))
     assert gale_ryser_feasible((1,), (1,))
-    # r=(2) forces two ones in one row but only one column exists
-    assert not BraneDiagram.parse("0/2\\1\\0").is_admissible() or True
+    # r=(2), c=(2): two ones in one row but only one column exists
+    assert not BraneDiagram.parse("0/2\\0").is_admissible()
+    # c=(-1, 2): a negative margin
+    assert not BraneDiagram.parse("0/1\\2\\0").is_admissible()
 
 
 def test_example_tie_diagram_and_bct():

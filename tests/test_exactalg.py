@@ -96,22 +96,27 @@ def test_exact_div_randomized():
         assert (a * b).exact_div(b) == a
 
 
+def act(w):
+    """The permutation action t_i -> t_{w(i)}, h fixed, as a renumbering."""
+    return RingMap.renumber(w.n, w.n, dict(enumerate(w.one_line, 1)))
+
+
 def test_act_perm():
     w = Permutation.parse("213")
     p = t(1) - t(2)
-    assert p.act_perm(w) == t(2) - t(1)
-    assert p.act_perm(Permutation.identity(3)) == p
+    assert act(w)(p) == t(2) - t(1)
+    assert act(Permutation.identity(3))(p) == p
     rng = random.Random(99)
     for _ in range(20):
         q = random_poly(rng, 3)
-        assert q.act_perm(w).act_perm(w.inverse()) == q
+        assert act(w.inverse())(act(w)(q)) == q
 
 
 def test_act_perm_is_ring_map():
     rng = random.Random(5)
     w = Permutation.parse("312")
     a, b = random_poly(rng, 3), random_poly(rng, 3)
-    assert (a * b).act_perm(w) == a.act_perm(w) * b.act_perm(w)
+    assert act(w)(a * b) == act(w)(a) * act(w)(b)
 
 
 def test_ring_map_multiplicative():
@@ -156,11 +161,9 @@ def test_euler_and_characters():
         Character(2, [(0, 0, 0)]).euler()
 
 
-def test_character_dual_tensor_union():
+def test_character_union():
     a = Character.weight(2, {1: 1, 2: -1}, 1)
     b = Character.weight(2, {2: 1, 1: -1}, 0)
-    assert a.dual().dual() == a
-    assert a.tensor(b) == Character.weight(2, {}, 1)
     assert (a.plus(b)).euler() == a.euler() * b.euler()
     assert a.plus(b).rank() == 2
 
@@ -172,10 +175,6 @@ def test_chamber_split():
     assert neg == Character.weight(3, {1: 1, 2: -1}, 2)
     assert pos == Character.weight(3, {3: 1, 2: -1}, 0)
     assert pos.plus(neg) == c
-
-    # dual splits with the parts swapped
-    dpos, dneg = c.dual().split_by_chamber(Permutation.identity(3))
-    assert dpos == neg.dual() and dneg == pos.dual()
 
     # the longest chamber swaps the parts of h-free weights
     w0 = Permutation.longest(3)

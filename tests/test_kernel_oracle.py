@@ -193,4 +193,6 @@ def test_act_perm_matches_compose(inputs):
     R = sympy_ring(p.window)
     gens = R.gens
     want = to_sympy(p, R).compose([(gens[i], gens[w(i + 1) - 1]) for i in range(p.window)])
-    assert to_sympy(p.act_perm(w), R) == want
+    # the permutation action is a renumbering RingMap, as stab_grid applies it
+    act = RingMap.renumber(p.window, p.window, dict(enumerate(w.one_line, 1)))
+    assert to_sympy(act(p), R) == want

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bowcalc.exactalg import MultiPoly
+from bowcalc.exactalg import MultiPoly, RingMap
 from bowcalc.permcalc import (
     Composition,
     Permutation,
@@ -108,7 +108,8 @@ def test_beta_concatenation_consistency():
     prefix = Permutation.identity(5)
     for a, (x, y) in zip(word, betas):
         alpha = MultiPoly.linear(5, {a: 1, a + 1: -1})
-        assert alpha.act_perm(prefix) == MultiPoly.linear(5, {x: 1, y: -1})
+        act = RingMap.renumber(5, 5, dict(enumerate(prefix.one_line, 1)))
+        assert act(alpha) == MultiPoly.linear(5, {x: 1, y: -1})
         prefix = prefix * Permutation.simple(5, a)
 
 

@@ -226,12 +226,12 @@ def test_stack_character_and_n_euler():
     d = BraneDiagram.parse(RES_DIAGRAM)
     t1, t2, t3, h = T(1, 3), T(2, 3), T(3, 3), H(3)
     # c = (2,1,2): the antidominant negative part
-    assert n_euler(d, Permutation.identity(3), "-") == (t1 - t2) * (t1 - t3) * (t1 - t3 + h)
+    assert n_euler(d, Permutation.identity(3)) == (t1 - t2) * (t1 - t3) * (t1 - t3 + h)
     pos, neg = stack_character(d).split_by_chamber(Permutation.identity(3))
     assert pos.plus(neg) == stack_character(d)
     # unit column margins mean an empty character
     fd = flag_diagram([1, 2], 3)
-    assert n_euler(fd, Permutation.identity(3), "-") == MultiPoly.one(3)
+    assert n_euler(fd, Permutation.identity(3)) == MultiPoly.one(3)
     assert stack_character(fd).rank() == 0
 
 
@@ -256,7 +256,7 @@ def test_stab_tilde_golden():
     # un-normalized restriction divides out the constant normal Euler class
     plain = stab_restriction(d, Permutation.identity(3), De, Da)
     assert plain == h * (t1 - t2 + h) * (t2 - t3 + h)
-    assert plain * n_euler(d, Permutation.identity(3), "-") == val
+    assert plain * n_euler(d, Permutation.identity(3)) == val
 
 
 def test_stab_diagonal_factors_into_s_forms():
@@ -344,7 +344,7 @@ def test_normalized_grid_relation():
     for z in (Permutation.identity(3), W("231")):
         plain = stab_grid(d, z)
         normalized = stab_grid(d, z, normalized=True)
-        e = n_euler(d, z, "-")
+        e = n_euler(d, z)
         for key in plain:
             assert normalized[key] == plain[key] * e
 
