@@ -49,22 +49,18 @@ from .diagrams import (
     enumerate_bct,
     enumerate_ties,
     essential,
-    essential_tie,
     flag_diagram,
     flag_tie,
     gale_ryser_feasible,
     hanany_witten,
-    parse_bct_key,
     render_ascii,
     render_bct,
     resolution,
     resolve_tie,
     separate,
-    sign,
     simple_moves,
     simple_moves_rel,
     sn_act,
-    sn_act_tie,
     tie_to_bct,
 )
 from .stabloc import (

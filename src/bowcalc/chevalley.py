@@ -382,6 +382,8 @@ def verify(diagram, bundles=None, seed=0):
         chambers = [Permutation.identity(N)]
     if bundles is None:
         bundles = list(range(1, diagram.num_black + 1))
+    for j in bundles:
+        diagram.interval_index(j)  # a bad bundle raises before any check runs
     report = {}
 
     failures = []

@@ -16,10 +16,8 @@ from graphlib import CycleError
 from .diagrams import (
     BraneDiagram,
     DiagramError,
-    TieDiagram,
     _fixed_points,
     hanany_witten,
-    parse_bct_key,
     render_ascii,
     render_bct,
     separate,
@@ -71,10 +69,10 @@ def _chamber(args, d):
 
 
 def _tie(d, key):
-    try:
-        return TieDiagram.from_bct(d, parse_bct_key(key, d.M, d.N))
-    except DiagramError as e:
-        raise CliError("bad tie key %r: %s" % (key, e), INADMISSIBLE)
+    D = _fixed_points(d).get(key)
+    if D is None:
+        raise CliError("bad tie key %r: not a fixed point of %s" % (key, d.format()), INADMISSIBLE)
+    return D
 
 
 def emit(args, command, inputs, result, pretty_lines=None):

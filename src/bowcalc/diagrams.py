@@ -265,14 +265,6 @@ def bct_key(bct):
     return "".join("".join(str(x) for x in row) for row in bct)
 
 
-def parse_bct_key(key, M, N):
-    if len(key) != M * N or any(ch not in "01" for ch in key):
-        raise DiagramError("bad BCT key %r for a %dx%d table" % (key, M, N))
-    return tuple(
-        tuple(int(key[i * N + j]) for j in range(N)) for i in range(M)
-    )
-
-
 class TieDiagram:
     """A brane diagram plus its set of ties, keyed by the BCT.
 
@@ -316,10 +308,6 @@ class TieDiagram:
                     "black line X_%d covered %d times, label is %d"
                     % (x, cover, self.diagram.label(x))
                 )
-
-    @classmethod
-    def from_bct(cls, diagram, bct):
-        return bct_to_tie(diagram, bct)
 
     def key(self):
         return bct_key(self.bct)
@@ -472,22 +460,6 @@ def essential(diagram):
     return BraneDiagram(colors, labels), removed
 
 
-def essential_tie(D):
-    """Transport a tie diagram to the essential reduction of its diagram."""
-    d = D.diagram
-    d_ess, removed = essential(d)
-    removed_set = set(removed)
-    for left, right in D.ties:
-        if left in removed_set or right in removed_set:
-            raise DiagramError("tie attached to a chargeless line: corrupt input")
-    kept_rows = [i for i in range(1, d.M + 1) if ("V", i) not in removed_set]
-    kept_cols = [j for j in range(1, d.N + 1) if ("U", j) not in removed_set]
-    bct = tuple(
-        tuple(D.bct[i - 1][j - 1] for j in kept_cols) for i in kept_rows
-    )
-    return bct_to_tie(d_ess, bct), kept_rows, kept_cols
-
-
 # -- symmetric group action on separated essential diagrams -----------------
 
 
@@ -512,14 +484,6 @@ def sn_act(w, diagram):
         tail.append(tail[-1] + cj)
     labels.extend(reversed(tail[:-1]))
     return BraneDiagram(diagram.colors, labels)
-
-
-def sn_act_tie(w, D):
-    new_diagram = sn_act(w, D.diagram)
-    ties = []
-    for (kv, i), (ku, j) in D.ties:
-        ties.append((("V" if kv == "V" else kv, i), ("U", w(j))))
-    return TieDiagram(new_diagram, ties)
 
 
 def permute_bct_columns(bct, w):
@@ -625,13 +589,14 @@ def simple_moves(D):
 
     A simple move picks rows i1 < i2 and columns j1 < j2 with BCT entries 1 at
     (i1, j1), (i2, j2) and 0 at (i1, j2), (i2, j1) and swaps the pattern.
-    Returns a list of (TieDiagram, (i1, i2, j1, j2)).
+    Returns a list of (TieDiagram, (i1, i2, j1, j2)) sorted by key; each tie
+    diagram is the fixed-point table's own.
     """
     M = len(D.bct)
+    points = _fixed_points(D.diagram)
     pairs = ((i1, i2) for i1 in range(1, M + 1) for i2 in range(i1 + 1, M + 1))
-    out = [(bct_to_tie(D.diagram, moved), move) for moved, move in _scan_moves(D.bct, pairs)]
-    out.sort(key=lambda pair: pair[0].key())
-    return out
+    moved = sorted((bct_key(A), move) for A, move in _scan_moves(D.bct, pairs))
+    return [(points[key], move) for key, move in moved]
 
 
 def move_sign(bct, move):
@@ -648,28 +613,20 @@ def simple_moves_rel(D, z, i):
 
     Computed on the column-permuted table M(z.D); a move with rows i1 < i2
     qualifies iff i1 <= i < i2.  Returns a list of (TieDiagram, sign) on the
-    original diagram.
+    original diagram, sorted by key, with the fixed-point table's tie diagrams.
     """
     M = len(D.bct)
+    points = _fixed_points(D.diagram)
     ztable = permute_bct_columns(D.bct, z)
     back = z.inverse()
     pairs = (
         (i1, i2) for i1 in range(1, M + 1) for i2 in range(i1 + 1, M + 1) if i1 <= i < i2
     )
-    out = [
-        (bct_to_tie(D.diagram, permute_bct_columns(moved, back)), move_sign(ztable, move))
-        for moved, move in _scan_moves(ztable, pairs)
-    ]
-    out.sort(key=lambda pair: pair[0].key())
-    return out
-
-
-def sign(D, D_moved):
-    """Sign of the simple move from D to D_moved (must be one)."""
-    for Dp, move in simple_moves(D):
-        if Dp == D_moved:
-            return move_sign(D.bct, move)
-    raise DiagramError("second diagram is not a simple move of the first")
+    moved = sorted(
+        (bct_key(permute_bct_columns(A, back)), move_sign(ztable, move))
+        for A, move in _scan_moves(ztable, pairs)
+    )
+    return [(points[key], sgn) for key, sgn in moved]
 
 
 # -- rendering ---------------------------------------------------------------

@@ -560,10 +560,11 @@ def _cancel_forms(num, forms):
 class LocalizedScalar:
     """Fraction num / prod(denoms) with denominators a multiset of S forms.
 
-    Common factors divisible by a denominator element are cancelled greedily;
-    equality is decided by cross multiplication.  Every instance stays
-    reduced: no form left in ``denoms`` divides ``num``, and a zero ``num``
-    has no denominators.
+    Common factors divisible by a denominator element are cancelled greedily.
+    Every instance stays reduced: no form left in ``denoms`` divides ``num``,
+    and a zero ``num`` has no denominators.  The forms are pairwise
+    non-associate primes, so the reduced form is unique: two values are equal
+    exactly when their ``num`` and sorted ``denoms`` are.
     """
 
     __slots__ = ("num", "denoms")
@@ -586,9 +587,6 @@ class LocalizedScalar:
     @classmethod
     def from_poly(cls, p):
         return cls(p, ())
-
-    def denom_poly(self):
-        return poly_product([f.as_poly(self.window) for f in self.denoms], self.window)
 
     def is_polynomial(self):
         return not self.denoms
@@ -647,7 +645,7 @@ class LocalizedScalar:
             other = LocalizedScalar.from_poly(other)
         elif not isinstance(other, LocalizedScalar):
             return NotImplemented
-        return self.num * other.denom_poly() == other.num * self.denom_poly()
+        return self.denoms == other.denoms and self.num == other.num
 
     def __bool__(self):
         return not self.num.is_zero()

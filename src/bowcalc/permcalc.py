@@ -279,21 +279,15 @@ def subword_sum(word, n, target):
 
 
 def bruhat_leq(u, w):
-    """Subword criterion: u <= w iff some subword of a reduced word for w is u."""
+    """Subword criterion: u <= w iff some subword of a reduced word for w is u.
+
+    The subword sum of u is then nonzero: each power of h in it sums products
+    of positive roots, which are all positive at t = (n, ..., 1), so no two
+    subwords cancel.
+    """
     if u.n != w.n:
         raise WindowMismatchError("windows differ")
-    if u.length() > w.length():
-        return False
-    word = reduced_word(w)
-    states = {Permutation.identity(w.n)}
-    l = len(word)
-    for pos, a in enumerate(word):
-        remaining = l - pos - 1
-        s = Permutation.simple(w.n, a)
-        nxt = set(states)
-        nxt.update(sigma * s for sigma in states)
-        states = {sigma for sigma in nxt if (sigma.inverse() * u).length() <= remaining}
-    return u in states
+    return not subword_sum(reduced_word(w), w.n, u).is_zero()
 
 
 # -- Young subgroup cosets ------------------------------------------------

@@ -19,6 +19,7 @@ from bowcalc.chevalley import (
 from bowcalc.diagrams import (
     BraneDiagram,
     TieDiagram,
+    bct_to_tie,
     enumerate_bct,
     flag_diagram,
     hanany_witten,
@@ -173,8 +174,8 @@ def test_criterion_3_coset_representatives():
 
 def test_criterion_4_resolution_pipeline():
     d = BraneDiagram.parse(RES_DIAGRAM)
-    De = TieDiagram.from_bct(d, RES_EVAL)
-    Da = TieDiagram.from_bct(d, RES_ARG)
+    De = bct_to_tie(d, RES_EVAL)
+    Da = bct_to_tie(d, RES_ARG)
     assert resolution_normalizer(d) == MultiPoly.h(3) ** 2
     t = lambda i: MultiPoly.t(i, 3)
     h = MultiPoly.h(3)

@@ -116,6 +116,23 @@ def test_inadmissible_diagram(capsys):
 def test_bad_tie_key(capsys):
     code, _, err = run(capsys, "restrict", "--diagram", RES, "--tie", "111", "--bundle", "2")
     assert code == 3
+    assert err == "error: bad tie key '111': not a fixed point of 0/1/3/5\\3\\2\\0\n"
+    # the right length, but the margins are not the diagram's
+    code, _, err = run(capsys, "render", "--diagram", RES, "--tie", "000000000")
+    assert code == 3
+    assert err == "error: bad tie key '000000000': not a fixed point of 0/1/3/5\\3\\2\\0\n"
+
+
+@pytest.mark.parametrize("bundle", ["99", "-1"])
+def test_verify_checks_bundle_before_any_work(capsys, monkeypatch, bundle):
+    def fail(*args):
+        raise AssertionError("orthogonality ran before the bundle check")
+
+    monkeypatch.setattr(chevalley, "check_orthogonality", fail)
+    code, out, err = run(capsys, "verify", "--diagram", RES, "--bundle", bundle)
+    assert code == 3
+    assert out == ""
+    assert err == "error: black line index out of range\n"
 
 
 def test_render(capsys):

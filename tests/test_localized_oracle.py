@@ -98,9 +98,14 @@ def to_sympy(p):
     return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
 
 
+def denom_poly(value):
+    """The product of a scalar's denominator forms."""
+    return poly_product([f.as_poly(value.window) for f in value.denoms], value.window)
+
+
 def assert_sympy_reduced(value, num, den):
     """value == cancel(num/den), and value's numerator and denominator are coprime."""
-    top, bottom = to_sympy(value.num), to_sympy(value.denom_poly())
+    top, bottom = to_sympy(value.num), to_sympy(denom_poly(value))
     want_top, want_bottom = to_sympy(num).cancel(to_sympy(den))
     assert top * want_bottom == want_top * bottom
     assert top.gcd(bottom).is_ground
@@ -137,7 +142,7 @@ def test_localized_times_poly_equals_product_then_reduce(inputs):
     assert got.num == want.num and got.denoms == want.denoms
     assert str(got) == str(want)
     if not p.is_zero() and not s.num.is_zero():
-        assert_sympy_reduced(got, s.num * p, s.denom_poly())
+        assert_sympy_reduced(got, s.num * p, denom_poly(s))
     else:
         assert got.denoms == ()
 
@@ -184,7 +189,7 @@ def test_localized_sum_difference_and_equality_against_sympy(pair):
     s, other = (LocalizedScalar(num, denoms) for num, denoms in pair)
     for value, (num, denoms) in zip((s, other), pair):
         assert_sympy_reduced(value, num, poly_product([f.as_poly(num.window) for f in denoms], num.window))
-    s_den, o_den = s.denom_poly(), other.denom_poly()
+    s_den, o_den = denom_poly(s), denom_poly(other)
     for got, sign in ((s + other, 1), (s - other, -1)):
         assert got.denoms == tuple(sorted(got.denoms))
         if got.num.is_zero():

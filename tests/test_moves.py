@@ -1,14 +1,30 @@
 """The twisted simple moves of the identity chamber are the plain simple moves
-whose rows straddle the interval, each with its move sign."""
+whose rows straddle the interval, each with its move sign; on random admissible
+diagrams, every move lands on the fixed-point table's own tie diagram."""
 
+import random
+from itertools import product
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from bowcalc.chevalley import cm_matrix
 from bowcalc.diagrams import (
+    BLUE,
+    RED,
     BraneDiagram,
+    _fixed_points,
+    bct_key,
+    bct_to_tie,
+    enumerate_bct,
     enumerate_ties,
     move_sign,
     simple_moves,
     simple_moves_rel,
 )
 from bowcalc.permcalc import Permutation
+from bowcalc.stabloc import opposite_chamber
+from test_localized_oracle import PROPERTY
 
 
 def test_identity_chamber_moves_are_filtered_simple_moves():
@@ -29,3 +45,58 @@ def test_identity_chamber_moves_are_filtered_simple_moves():
                 assert got == want
                 seen += len(got)
         assert seen > 0
+
+
+@st.composite
+def admissible_diagrams(draw):
+    """(diagram, one of its tables, a chamber): the colors in a random order
+    and the labels that the ties of a random 0/1 table cover, with at most 12
+    fixed points."""
+    # uniform draws from one drawn seed: hypothesis' own draws lean to small
+    # and all-zero tables, and most of those have one fixed point
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    M, N = rng.randint(2, 4), rng.randint(2, 4)
+    colors = [RED] * M + [BLUE] * N
+    rng.shuffle(colors)
+    table = tuple(tuple(rng.randint(0, 1) for _ in range(N)) for _ in range(M))
+    reds = [p for p, c in enumerate(colors, start=1) if c == RED][::-1]
+    blues = [p for p, c in enumerate(colors, start=1) if c == BLUE]
+    labels = [0] * (M + N + 1)
+    for i, j in product(range(M), range(N)):
+        # a red-left pair is tied on a 1, a blue-left pair on a 0
+        if table[i][j] == (reds[i] < blues[j]):
+            left, right = sorted((reds[i], blues[j]))
+            for x in range(left + 1, right + 1):
+                labels[x - 1] += 1
+    d = BraneDiagram(colors, labels)
+    assume(len(enumerate_bct(d)) <= 12)
+    z = Permutation(draw(st.permutations(range(1, N + 1))))
+    return d, table, z
+
+
+@PROPERTY
+@given(admissible_diagrams())
+def test_moves_on_random_admissible_diagrams(drawn):
+    d, table, z = drawn
+    points = _fixed_points(d)
+    assert bct_key(table) in points
+    # the count against every 0/1 matrix with the row margins
+    m = d.margins()
+    rows = [[bits for bits in product((0, 1), repeat=d.N) if sum(bits) == r] for r in m.r]
+    brute = sum(1 for pick in product(*rows) if tuple(map(sum, zip(*pick))) == m.c)
+    assert len(enumerate_bct(d)) == brute == len(points)
+    for D in points.values():
+        for Dp, (i1, i2, j1, j2) in simple_moves(D):
+            assert Dp is points[Dp.key()]
+            swapped = [list(row) for row in D.bct]
+            for i, j, bit in ((i1, j1, 0), (i2, j2, 0), (i1, j2, 1), (i2, j1, 1)):
+                assert swapped[i - 1][j - 1] == 1 - bit
+                swapped[i - 1][j - 1] = bit
+            assert Dp == bct_to_tie(d, tuple(map(tuple, swapped)))
+        for i in range(d.M + 1):
+            assert all(Dp is points[Dp.key()] for Dp, _ in simple_moves_rel(D, z, i))
+    # multiplication by c_1 is self-adjoint, so C_-z is the transpose of C_z
+    for j in range(1, d.num_black + 1):
+        c = cm_matrix(d, z, j).entries
+        c_op = cm_matrix(d, opposite_chamber(z), j).entries
+        assert c_op == {(col, row): v for (row, col), v in c.items()}, (d.format(), str(z), j)

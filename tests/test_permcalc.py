@@ -138,6 +138,23 @@ def test_bruhat_order():
             assert u == w
 
 
+def test_bruhat_order_is_the_subword_property_on_s4():
+    # u <= w exactly when u is the product of one of the 2^l subwords of a
+    # reduced word for w
+    perms = [Permutation(ol) for ol in iter_perms(range(1, 5))]
+    for w in perms:
+        word = reduced_word(w)
+        below = set()
+        for mask in range(2 ** len(word)):
+            sigma = Permutation.identity(4)
+            for k, a in enumerate(word):
+                if mask >> k & 1:
+                    sigma = sigma * Permutation.simple(4, a)
+            below.add(sigma)
+        for u in perms:
+            assert bruhat_leq(u, w) == (u in below), (str(u), str(w))
+
+
 def test_min_reps():
     r = Composition((2, 2, 1))
     w = W("25143")

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bowcalc.diagrams import BraneDiagram, TieDiagram, enumerate_bct, flag_diagram, flag_tie
+from bowcalc.diagrams import (
+    BraneDiagram,
+    TieDiagram,
+    bct_to_tie,
+    enumerate_bct,
+    flag_diagram,
+    flag_tie,
+)
 from bowcalc.exactalg import MultiPoly, RingMap, factor_s_forms
 from bowcalc.permcalc import (
     Composition,
@@ -63,7 +70,7 @@ def table_point():
 
 def res_points():
     d = BraneDiagram.parse(RES_DIAGRAM)
-    return d, TieDiagram.from_bct(d, RES_EVAL), TieDiagram.from_bct(d, RES_ARG)
+    return d, bct_to_tie(d, RES_EVAL), bct_to_tie(d, RES_ARG)
 
 
 def T(i, n):
@@ -114,7 +121,7 @@ def test_separated_restriction_formula():
     d = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
     m = d.margins()
     for A in enumerate_bct(d):
-        D = TieDiagram.from_bct(d, A)
+        D = bct_to_tie(d, A)
         for j in range(1, d.N + 1):
             ch = restrict_taut(D, d.M + j)
             want = sorted(
@@ -305,7 +312,7 @@ def test_hw_grid_transport():
 
 def test_tangent_euler():
     d = BraneDiagram.parse(RES_DIAGRAM)
-    pts = [TieDiagram.from_bct(d, A) for A in enumerate_bct(d)]
+    pts = [bct_to_tie(d, A) for A in enumerate_bct(d)]
     zid = Permutation.identity(3)
     zr = W("231")
     for D in pts:
@@ -317,7 +324,7 @@ def test_tangent_euler():
     # the cotangent line bundle case: degree 2 per point
     p1 = flag_diagram([1], 2)
     for A in enumerate_bct(p1):
-        D = TieDiagram.from_bct(p1, A)
+        D = bct_to_tie(p1, A)
         e = tangent_euler(p1, Permutation.identity(2), D)
         assert e.degree() == 2
 
