@@ -28,7 +28,7 @@ from .exactalg import (
     RingMap,
     factor_s_forms,
 )
-from .memo import memo
+from .memo import ReadOnly, memo
 from .permcalc import Composition, Permutation, tilde_w
 from .stabloc import (
     _chern_table,
@@ -48,11 +48,10 @@ def _tangent_factors(diagram, z):
     """
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))
-    bound = max(diagram.labels) + 2
     out = {}
     for key in _fixed_points(diagram):
-        c1, h1, f1 = factor_s_forms(grid_c[(key, key)], max_abs_m=bound)
-        c2, h2, f2 = factor_s_forms(grid_op[(key, key)], max_abs_m=bound)
+        c1, h1, f1 = factor_s_forms(grid_c[(key, key)])
+        c2, h2, f2 = factor_s_forms(grid_op[(key, key)])
         out[key] = (c1 * c2, h1 + h2, tuple(sorted(f1 + f2)))
     return out
 
@@ -130,7 +129,7 @@ def virtual_pairing(diagram, z, vec_a, vec_b):
     return total
 
 
-class CMMatrix:
+class CMMatrix(ReadOnly):
     """Sparse multiplication matrix indexed by tie diagram keys.
 
     Read-only, so that a memoized matrix can be shared: ``basis`` is a tuple
@@ -141,11 +140,11 @@ class CMMatrix:
     __slots__ = ("diagram", "chamber", "bundle", "basis", "entries")
 
     def __init__(self, diagram, chamber, bundle, basis, entries):
-        self.diagram = diagram
-        self.chamber = chamber
-        self.bundle = bundle
-        self.basis = tuple(basis)
-        self.entries = MappingProxyType({k: v for k, v in entries.items() if not v.is_zero()})
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "chamber", chamber)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "entries", MappingProxyType({k: v for k, v in entries.items() if v}))
 
     def entry(self, row_key, col_key):
         zero = MultiPoly.zero(self.diagram.N)

@@ -116,9 +116,7 @@ def cmd_restrict(args):
     D = _tie(d, args.tie)
     ch = stabloc.restrict_taut(D, args.bundle)
     chern = stabloc.taut_chern(D, args.bundle)
-    weights = [
-        {"t": [w[i] for i in range(d.N)], "h": w[-1]} for w in ch.sorted_weights()
-    ]
+    weights = [{"t": [w[i] for i in range(d.N)], "h": w[-1]} for w in ch.weights]
     result = {
         "diagram": d.format(),
         "tie": args.tie,

@@ -15,7 +15,7 @@ and column margins c, rows indexed by V_1..V_M, columns by U_1..U_N.
 
 from collections import namedtuple
 
-from .memo import memo
+from .memo import ReadOnly, memo
 
 
 class DiagramError(ValueError):
@@ -28,7 +28,7 @@ BLUE = "\\"
 Margins = namedtuple("Margins", ["r", "c", "R", "C", "n"])
 
 
-class BraneDiagram:
+class BraneDiagram(ReadOnly):
     __slots__ = ("colors", "labels", "_key")
 
     def __init__(self, colors, labels):
@@ -44,9 +44,9 @@ class BraneDiagram:
             raise DiagramError("labels must be nonnegative")
         if any(c not in (RED, BLUE) for c in colors):
             raise DiagramError("colors must be %r or %r" % (RED, BLUE))
-        self.colors = colors
-        self.labels = labels
-        self._key = None
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_key", None)
 
     # -- text form ---------------------------------------------------------
 
@@ -194,7 +194,7 @@ class BraneDiagram:
 
     def key(self):
         if self._key is None:
-            self._key = self.format()
+            object.__setattr__(self, "_key", self.format())
         return self._key
 
 
@@ -265,11 +265,11 @@ def bct_key(bct):
     return "".join("".join(str(x) for x in row) for row in bct)
 
 
-class TieDiagram:
+class TieDiagram(ReadOnly):
     """A brane diagram plus its set of ties, keyed by the BCT.
 
-    Read-only once constructed, so that the fixed-point table can share its
-    tie diagrams with every caller.
+    Read-only, so that the fixed-point table can share its tie diagrams with
+    every caller.
     """
 
     __slots__ = ("diagram", "ties", "bct")
@@ -283,12 +283,6 @@ class TieDiagram:
         object.__setattr__(self, "ties", ties)
         object.__setattr__(self, "bct", tie_to_bct(self))
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TieDiagram is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError("TieDiagram is read-only")
 
     def _validate(self):
         reds = self.diagram.red_positions()

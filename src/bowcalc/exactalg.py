@@ -22,9 +22,10 @@ to print or to hand them out through ``terms``.  A total degree of
 carrying into the next field; bad exponents (negative, non-int) raise
 ``ValueError`` and float coefficients ``TypeError`` in every constructor.
 
-Everything is immutable after construction, down to a polynomial's term
-table (read through a ``TermView``) and a form (a tuple), so a value shared
-through a cache cannot be changed by any caller.  All arithmetic is exact.
+``LocalizedScalar`` and ``Character`` are ``memo.ReadOnly``, a form is a
+tuple and a polynomial's term table is read through a ``TermView``, so a
+value shared through the memo cannot be changed by any caller.  All
+arithmetic is exact.
 """
 
 import heapq
@@ -32,6 +33,8 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
+
+from .memo import ReadOnly
 
 
 class WindowMismatchError(ValueError):
@@ -500,15 +503,18 @@ class LinearForm(namedtuple("LinearForm", "i j m")):
     __repr__ = __str__
 
 
-def factor_s_forms(p, max_abs_m=None):
+def factor_s_forms(p):
     """Factor p as constant * h^k * product of S-linear forms.
 
-    Candidates t_i - t_j + m*h with |m| <= max_abs_m (doubling up to the
-    degree of p if that is not enough; max(2, degree) when not given) are
-    tried by exact division.  One scan per bound suffices: a form that does
-    not divide the remainder cannot divide a later remainder, which divides
-    it.  Returns (constant, h power, sorted list of LinearForm); raises
-    NotDivisibleError if a non-constant part remains.
+    Candidates t_i - t_j + m*h are tried by exact division: |m| <= 2 first,
+    then each pass doubles the bound and tries only the new m.  A form that
+    does not divide the remainder cannot divide a later remainder, which
+    divides it, so no candidate is tried twice.  After the first pass every
+    form left has |m| > 2, so the remainder's h^d coefficient over its
+    leading coefficient is the integer prod m, which bounds every |m|.
+    Returns (constant, h power, sorted list of LinearForm); raises
+    NotDivisibleError once the bound passes that product, or when it is not
+    a nonzero integer.
     """
     window = p.window
     if p.is_zero():
@@ -518,12 +524,12 @@ def factor_s_forms(p, max_abs_m=None):
     if hpow:
         rest = p.exact_div(MultiPoly.h(window) ** hpow)
     factors = []
-    bound = max_abs_m if max_abs_m is not None else max(2, rest.degree())
-    cap = max(bound, rest.degree())
+    low, bound = 0, 2
     while True:
+        ms = [m for m in range(-bound, bound + 1) if abs(m) >= low]
         for i in range(1, window + 1):
             for j in range(i + 1, window + 1):
-                for m in range(-bound, bound + 1):
+                for m in ms:
                     form = LinearForm(i, j, m)
                     try:
                         while True:
@@ -531,11 +537,13 @@ def factor_s_forms(p, max_abs_m=None):
                             factors.append(form)
                     except NotDivisibleError:
                         pass
-        if rest.degree() <= 0:
+        degree = rest.degree()
+        if degree <= 0:
             return rest.constant_value(), hpow, sorted(factors)
-        if bound >= cap:
+        ratio = Fraction(rest.terms.get((0,) * window + (degree,), 0), rest.leading()[1])
+        if ratio.denominator != 1 or abs(ratio) <= bound:
             raise NotDivisibleError("not a product of S-linear forms: %s" % rest)
-        bound = min(cap, bound * 2)
+        low, bound = bound + 1, bound * 2
 
 
 def _cancel_forms(num, forms):
@@ -557,7 +565,7 @@ def _cancel_forms(num, forms):
     return num, tuple(remaining)
 
 
-class LocalizedScalar:
+class LocalizedScalar(ReadOnly):
     """Fraction num / prod(denoms) with denominators a multiset of S forms.
 
     Common factors divisible by a denominator element are cancelled greedily.
@@ -570,15 +578,17 @@ class LocalizedScalar:
     __slots__ = ("num", "denoms")
 
     def __init__(self, num, denoms=(), reduce_now=True):
-        self.num = num
-        self.denoms = tuple(sorted(denoms))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "denoms", tuple(sorted(denoms)))
         if reduce_now:
             self._reduce()
         elif num.is_zero():
-            self.denoms = ()
+            object.__setattr__(self, "denoms", ())
 
     def _reduce(self):
-        self.num, self.denoms = _cancel_forms(self.num, self.denoms)
+        num, denoms = _cancel_forms(self.num, self.denoms)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "denoms", denoms)
 
     @property
     def window(self):
@@ -767,37 +777,19 @@ class RingMap:
         return RingMap(inner.source, self.target, [self(im) for im in inner.images])
 
 
-class Character:
+class Character(ReadOnly):
     """Finite multiset of torus weights sum(c_i t_i) + c_h h.
 
-    Weights are exponent tuples of length window+1 with integer entries.
+    A weight is an exponent tuple of length window+1 with integer entries;
+    ``weights`` is one sorted tuple that repeats each weight by its
+    multiplicity.
     """
 
     __slots__ = ("window", "weights")
 
     def __init__(self, window, weights=()):
-        self.window = window
-        if isinstance(weights, Counter):
-            self.weights = Counter({w: m for w, m in weights.items() if m})
-        else:
-            self.weights = Counter(weights)
-
-    @classmethod
-    def weight(cls, window, t_coeffs, h_coeff=0):
-        vec = [0] * (window + 1)
-        for i, c in t_coeffs.items():
-            vec[i - 1] = c
-        vec[-1] = h_coeff
-        return cls(window, [tuple(vec)])
-
-    def rank(self):
-        return sum(self.weights.values())
-
-    def plus(self, other):
-        """Direct sum (multiset union)."""
-        if other.window != self.window:
-            raise WindowMismatchError("character windows differ")
-        return Character(self.window, self.weights + other.weights)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "weights", tuple(sorted(weights)))
 
     def _poly(self, w):
         """The weight w as a linear polynomial."""
@@ -806,7 +798,7 @@ class Character:
     def euler(self):
         """Product of linear polynomials of all weights (with multiplicity)."""
         out = MultiPoly.one(self.window)
-        for w, mult in self.weights.items():
+        for w, mult in Counter(self.weights).items():
             if not any(w):
                 raise ZeroWeightError("character contains a zero weight")
             out = out * self._poly(w) ** mult
@@ -815,7 +807,7 @@ class Character:
     def weight_sum(self):
         """First Chern class: the sum of all weights as a polynomial."""
         out = MultiPoly.zero(self.window)
-        for w, mult in self.weights.items():
+        for w, mult in Counter(self.weights).items():
             out = out + self._poly(w) * mult
         return out
 
@@ -825,8 +817,8 @@ class Character:
         Every weight must have t part t_a - t_b; the weight goes to the
         negative side iff z(a) < z(b).
         """
-        pos, neg = Counter(), Counter()
-        for w, mult in self.weights.items():
+        pos, neg = [], []
+        for w in self.weights:
             support = [(i + 1, c) for i, c in enumerate(w[:-1]) if c]
             if (
                 len(support) != 2
@@ -836,17 +828,8 @@ class Character:
                 raise PureHWeightError("weight %r is not of the form t_a - t_b + m*h" % (w,))
             (x, cx), (y, _) = support
             a, b = (x, y) if cx == 1 else (y, x)
-            if z(a) < z(b):
-                neg[w] += mult
-            else:
-                pos[w] += mult
+            (neg if z(a) < z(b) else pos).append(w)
         return Character(self.window, pos), Character(self.window, neg)
-
-    def sorted_weights(self):
-        out = []
-        for w in sorted(self.weights):
-            out.extend([w] * self.weights[w])
-        return out
 
     def __eq__(self, other):
         return (
@@ -856,6 +839,6 @@ class Character:
         )
 
     def __str__(self):
-        return "{" + ", ".join(str(self._poly(w)) for w in self.sorted_weights()) + "}"
+        return "{" + ", ".join(str(self._poly(w)) for w in self.weights) + "}"
 
     __repr__ = __str__

@@ -1,27 +1,43 @@
 """The one memo of the package: a keyed store for the tables that many
-queries read.
+queries read, and the one read-only rule for the values it shares.
 
 It holds, per diagram, the fixed-point table (``diagrams._fixed_points``,
 which ``enumerate_ties`` lists) and the Chern tables
-(``stabloc._chern_table``, which ``taut_chern`` reads); the stable-envelope
-grids (``stab_tilde_grid``, ``stab_grid``); the tangent Euler classes
+(``stabloc._chern_table``, which ``taut_chern`` reads); the tautological
+restrictions (``restrict_taut``); the stable-envelope grids
+(``stab_tilde_grid``, ``stab_grid``); the tangent Euler classes
 (``tangent_euler``) and their factors (``chevalley._tangent_factors``); the
 pairing summands (``chevalley._pairing_terms``); and the Chevalley-Monk
 matrices of the formula and the oracle (``cm_matrix``,
-``cm_matrix_oracle``).  ``restrict_taut`` is not memoized: a ``Character``
-is mutable."""
+``cm_matrix_oracle``)."""
 
 import functools
 from types import MappingProxyType
+
+
+class ReadOnly:
+    """Base of every class whose instances the memo shares.
+
+    A subclass lists its fields in ``__slots__`` and its constructor sets
+    them through ``object.__setattr__``; any later assignment or deletion
+    raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is read-only" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
 
 def memo(key):
     """Memoize a function under ``key(*args, **kwargs)``.
 
     Each result is stored once and read-only: a dict result is kept behind a
-    ``MappingProxyType``, and the values in it are immutable down to a
-    polynomial's term table and a linear form, so no caller can change what
-    later callers read.
+    ``MappingProxyType``, and the values in it are ``ReadOnly`` instances,
+    polynomials (whose term table is read through a view) and tuples, so no
+    caller can change what later callers read.
     A repeated call returns the identical object; a call that raises stores
     nothing.  The store has no bound: every workload reads a handful of
     tables again and again, and evicting one would rebuild it.

@@ -104,6 +104,12 @@ def taut_tables(D, blue_index):
     return dvals, cvals
 
 
+def _weight(window, t_coeffs, h_coeff):
+    """The weight sum(c_i t_i) + h_coeff*h (t_coeffs maps i -> c_i) as an exponent tuple."""
+    return tuple(t_coeffs.get(i, 0) for i in range(1, window + 1)) + (h_coeff,)
+
+
+@memo(lambda D, i: (D.diagram.key(), D.key(), i))
 def restrict_taut(D, i):
     """The character of the tautological bundle of black line X_i at the fixed
     point D: for every blue line U the weights t_U + (c - d_minus + 1 + k) h,
@@ -113,24 +119,17 @@ def restrict_taut(D, i):
     if not 1 <= i <= d.num_black:
         raise DiagramError("black line index out of range")
     blues = d.blue_positions()
-    out = Character(d.N)
+    weights = []
     for j in range(1, d.N + 1):
         dvals, cvals = taut_tables(D, j)
-        mult = dvals[i]
-        if not mult:
-            continue
-        d_minus = dvals[blues[j - 1]]
-        base = cvals[i] - d_minus + 1
-        for k in range(mult):
-            out = out.plus(Character.weight(d.N, {j: 1}, base + k))
-    return out
+        base = cvals[i] - dvals[blues[j - 1]] + 1
+        weights.extend(_weight(d.N, {j: 1}, base + k) for k in range(dvals[i]))
+    return Character(d.N, weights)
 
 
 def taut_chern(D, i):
     """Equivariant first Chern class restriction: the sum of the weights,
     read from the diagram's shared Chern table."""
-    if not 1 <= i <= D.diagram.num_black:
-        raise DiagramError("black line index out of range")
     return _chern_table(D.diagram, i)[D.key()]
 
 
@@ -300,14 +299,14 @@ def stack_character(diagram):
     separated diagram (pure-h weights cancel and are omitted)."""
     m = diagram.margins()
     N = diagram.N
-    out = Character(N)
+    weights = []
     for j in range(1, N + 1):
         for l in range(1, m.c[j - 1]):
             for k in range(j + 1, N + 1):
                 for i in range(m.c[k - 1]):
-                    out = out.plus(Character.weight(N, {k: 1, j: -1}, l - i))
-                    out = out.plus(Character.weight(N, {j: 1, k: -1}, 1 - l + i))
-    return out
+                    weights.append(_weight(N, {k: 1, j: -1}, l - i))
+                    weights.append(_weight(N, {j: 1, k: -1}, 1 - l + i))
+    return Character(N, weights)
 
 
 def n_euler(diagram, z):
@@ -322,15 +321,15 @@ def chargeless_character(diagram):
     separated diagram."""
     m = diagram.margins()
     N = diagram.N
-    out = Character(N)
+    weights = []
     for j in range(1, N + 1):
         if m.c[j - 1] != 0:
             continue
         for k in range(j + 1, N + 1):
             for i in range(m.c[k - 1]):
-                out = out.plus(Character.weight(N, {k: 1, j: -1}, -i))
-                out = out.plus(Character.weight(N, {j: 1, k: -1}, i + 1))
-    return out
+                weights.append(_weight(N, {k: 1, j: -1}, -i))
+                weights.append(_weight(N, {j: 1, k: -1}, i + 1))
+    return Character(N, weights)
 
 
 def chargeless_euler(diagram, z):

@@ -135,6 +135,16 @@ def test_verify_checks_bundle_before_any_work(capsys, monkeypatch, bundle):
     assert err == "error: black line index out of range\n"
 
 
+@pytest.mark.parametrize("diagram", ["0\\2/2/2/1/1\\0", "0\\2/2/2/2\\0\\0"])
+def test_verify_factors_tangent_forms_past_the_labels(capsys, diagram):
+    # the tangent class at the last fixed point has the form t1 - t2 + 5h,
+    # whose |m| is more than the largest label plus 2
+    code, out, err = run(capsys, "verify", "--diagram", diagram)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "overall: pass"
+
+
 def test_render(capsys):
     code, out, _ = run(
         capsys, "render", "--diagram", RES, "--tie", "101101010", "--bct"

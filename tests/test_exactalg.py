@@ -150,9 +150,7 @@ def test_euler_and_characters():
     empty = Character(2)
     assert empty.euler() == MultiPoly.one(2)
     # one chargeless line against a pair of later ones
-    c = Character(2)
-    for l in range(2):
-        c = c.plus(Character.weight(2, {1: 1, 2: -1}, l + 1))
+    c = Character(2, [(1, -1, l + 1) for l in range(2)])
     e = c.euler()
     t1, t2, H = MultiPoly.t(1, 2), MultiPoly.t(2, 2), MultiPoly.h(2)
     assert e == (t1 - t2 + H) * (t1 - t2 + 2 * H)
@@ -162,29 +160,32 @@ def test_euler_and_characters():
 
 
 def test_character_union():
-    a = Character.weight(2, {1: 1, 2: -1}, 1)
-    b = Character.weight(2, {2: 1, 1: -1}, 0)
-    assert (a.plus(b)).euler() == a.euler() * b.euler()
-    assert a.plus(b).rank() == 2
+    a, b = (1, -1, 1), (-1, 1, 0)
+    ab = Character(2, [a, b, a])
+    assert ab.weights == (b, a, a)
+    assert ab == Character(2, [b, a, a])
+    assert ab.euler() == Character(2, [a]).euler() ** 2 * Character(2, [b]).euler()
+    assert ab.weight_sum() == Character(2, [a]).weight_sum() * 2 + Character(2, [b]).weight_sum()
+    assert str(ab) == "{-t1 + t2, t1 - t2 + h, t1 - t2 + h}"
 
 
 def test_chamber_split():
-    c = Character.weight(3, {1: 1, 2: -1}, 2).plus(Character.weight(3, {3: 1, 2: -1}, 0))
+    c = Character(3, [(1, -1, 0, 2), (0, -1, 1, 0)])
     pos, neg = c.split_by_chamber(Permutation.identity(3))
     # t1 - t2 + 2h: z(1) < z(2) -> negative; t3 - t2: z(3) > z(2) -> positive
-    assert neg == Character.weight(3, {1: 1, 2: -1}, 2)
-    assert pos == Character.weight(3, {3: 1, 2: -1}, 0)
-    assert pos.plus(neg) == c
+    assert neg == Character(3, [(1, -1, 0, 2)])
+    assert pos == Character(3, [(0, -1, 1, 0)])
+    assert Character(3, pos.weights + neg.weights) == c
 
     # the longest chamber swaps the parts of h-free weights
     w0 = Permutation.longest(3)
-    c2 = Character.weight(3, {1: 1, 3: -1}, 0)
+    c2 = Character(3, [(1, 0, -1, 0)])
     p1, n1 = c2.split_by_chamber(Permutation.identity(3))
     p2, n2 = c2.split_by_chamber(w0)
     assert p1 == n2 and n1 == p2
 
     with pytest.raises(PureHWeightError):
-        Character.weight(3, {}, 1).split_by_chamber(w0)
+        Character(3, [(0, 0, 0, 1)]).split_by_chamber(w0)
 
 
 def test_linear_form_normalization():

@@ -9,6 +9,7 @@ import pytest
 from bowcalc.chevalley import (
     _pairing_terms,
     _tangent_factors,
+    check_orthogonality,
     cm_matrix,
     cm_matrix_oracle,
 )
@@ -25,7 +26,14 @@ from bowcalc.diagrams import (
 )
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
-from bowcalc.stabloc import _chern_table, stab_grid, stab_tilde_grid, tangent_euler, taut_chern
+from bowcalc.stabloc import (
+    _chern_table,
+    restrict_taut,
+    stab_grid,
+    stab_tilde_grid,
+    tangent_euler,
+    taut_chern,
+)
 
 DIAGRAM = "0/1/2\\1\\0"
 
@@ -100,6 +108,8 @@ def test_query_results_are_shared():
     assert taut_chern(D, 3) is taut_chern(D, 3) is _chern_table(d, 3)[D.key()]
     # an equal tie diagram built by the caller reads the same entry
     assert taut_chern(TieDiagram(d, D.ties), 3) is taut_chern(D, 3)
+    assert restrict_taut(D, 3) is restrict_taut(TieDiagram(d, D.ties), 3)
+    assert restrict_taut(D, 3) is not restrict_taut(D, 2)
 
 
 def test_out_of_range_bundle_raises_and_stores_nothing():
@@ -110,6 +120,8 @@ def test_out_of_range_bundle_raises_and_stores_nothing():
         for bad in (0, d.num_black + 1):
             with pytest.raises(DiagramError):
                 taut_chern(D, bad)
+            with pytest.raises(DiagramError):
+                restrict_taut(D, bad)
             with pytest.raises(DiagramError):
                 _chern_table(d, bad)
             with pytest.raises(DiagramError):
@@ -189,3 +201,39 @@ def test_failed_call_is_not_stored():
     for _ in range(2):
         with pytest.raises(DiagramError):
             stab_tilde_grid(not_separated)
+
+
+def test_shared_values_refuse_assignment():
+    d = BraneDiagram.parse(DIAGRAM)
+    z = Permutation.identity(d.N)
+    terms = _pairing_terms(d, z)
+    summand = next(s for v in terms.values() for _, s in v if s.denoms)
+    for name, value in (("num", MultiPoly.one(d.N)), ("denoms", ())):
+        with pytest.raises(AttributeError, match="LocalizedScalar is read-only"):
+            setattr(summand, name, value)
+        with pytest.raises(AttributeError):
+            delattr(summand, name)
+    for matrix in (cm_matrix(d, z, 2), cm_matrix_oracle(d, z, 2)):
+        with pytest.raises(AttributeError, match="CMMatrix is read-only"):
+            matrix.entries = {}
+        with pytest.raises(AttributeError):
+            matrix.basis = ()
+        assert matrix.entries and matrix.basis
+    ch = restrict_taut(enumerate_ties(d)[0], 2)
+    with pytest.raises(AttributeError, match="Character is read-only"):
+        ch.weights = ()
+    assert ch.weights
+    assert check_orthogonality(d, z) == []
+
+
+def test_a_diagram_is_read_only():
+    # the fixed-point table keeps the first caller's diagram in its tie diagrams
+    a = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
+    points = enumerate_ties(a)
+    with pytest.raises(AttributeError, match="BraneDiagram is read-only"):
+        a.labels = (0, 9, 9, 9, 0)
+    with pytest.raises(AttributeError):
+        del a.colors
+    b = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
+    assert enumerate_ties(b)[0] is points[0]
+    assert points[0].diagram.labels == b.labels == (0, 1, 3, 5, 3, 2, 0)

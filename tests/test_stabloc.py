@@ -105,10 +105,10 @@ def test_restrictions_golden():
     for i, pairs in expected.items():
         ch = restrict_taut(D, i)
         want = sorted((1 if j == 1 else 0, 1 if j == 2 else 0, m) for j, m in pairs)
-        assert sorted(ch.sorted_weights()) == want
-        assert ch.rank() == D.diagram.label(i)
+        assert list(ch.weights) == want
+        assert len(ch.weights) == D.diagram.label(i)
     # boundary black lines carry the zero bundle
-    assert restrict_taut(D, 1).rank() == 0
+    assert restrict_taut(D, 1).weights == ()
     assert taut_chern(D, 1).is_zero()
     assert taut_chern(D, 9).is_zero()
     # the Euler class of the rank two restriction
@@ -129,7 +129,7 @@ def test_separated_restriction_formula():
                 for k in range(j, d.N + 1)
                 for l in range(m.c[k - 1])
             )
-            assert sorted(ch.sorted_weights()) == want
+            assert list(ch.weights) == want
 
 
 def test_chern_mod_h_is_weighted_count():
@@ -148,9 +148,7 @@ def test_chern_mod_h_is_weighted_count():
     # the three weights are t_2 - 2h, t_3 - 2h, t_4 - 2h; the A-part is the
     # weighted count of ties covering the line
     assert taut_chern(D, 3) == t2 + t3 + t4 - 6 * h
-    assert sorted(restrict_taut(D, 3).sorted_weights()) == sorted(
-        [(0, 1, 0, 0, -2), (0, 0, 1, 0, -2), (0, 0, 0, 1, -2)]
-    )
+    assert restrict_taut(D, 3).weights == ((0, 0, 0, 1, -2), (0, 0, 1, 0, -2), (0, 1, 0, 0, -2))
 
 
 def test_full_flag_localization_golden():
@@ -235,11 +233,11 @@ def test_stack_character_and_n_euler():
     # c = (2,1,2): the antidominant negative part
     assert n_euler(d, Permutation.identity(3)) == (t1 - t2) * (t1 - t3) * (t1 - t3 + h)
     pos, neg = stack_character(d).split_by_chamber(Permutation.identity(3))
-    assert pos.plus(neg) == stack_character(d)
+    assert tuple(sorted(pos.weights + neg.weights)) == stack_character(d).weights
     # unit column margins mean an empty character
     fd = flag_diagram([1, 2], 3)
     assert n_euler(fd, Permutation.identity(3)) == MultiPoly.one(3)
-    assert stack_character(fd).rank() == 0
+    assert stack_character(fd).weights == ()
 
 
 def test_chargeless_euler():
@@ -270,7 +268,7 @@ def test_stab_diagonal_factors_into_s_forms():
     d, De, Da = res_points()
     for D in (De, Da):
         diag = stab_restriction(d, Permutation.identity(3), D, D)
-        const, hpow, forms = factor_s_forms(diag, max_abs_m=6)
+        const, hpow, forms = factor_s_forms(diag)
         rebuilt = MultiPoly.const(const, 3) * H(3) ** hpow
         for f in forms:
             rebuilt = rebuilt * f.as_poly(3)
@@ -319,7 +317,7 @@ def test_tangent_euler():
         e1 = tangent_euler(d, zid, D)
         e2 = tangent_euler(d, zr, D)
         assert e1 == e2  # chamber independence
-        _, hpow, forms = factor_s_forms(e1, max_abs_m=6)
+        _, hpow, forms = factor_s_forms(e1)
         assert hpow == 0  # every factor has a genuine t part
     # the cotangent line bundle case: degree 2 per point
     p1 = flag_diagram([1], 2)
@@ -342,7 +340,7 @@ def test_chamber_transport_consistency():
     grid = stab_grid(d, z)
     for (e, a), val in grid.items():
         if e == a:
-            const, hpow, forms = factor_s_forms(val, max_abs_m=6)
+            const, hpow, forms = factor_s_forms(val)
             assert hpow == 0
 
 

@@ -36,6 +36,7 @@ def test_tracer_installs_and_uninstalls_cleanly():
         for owner, name in (
             ("bowcalc.chevalley", "_pairing_terms"),
             ("bowcalc.exactalg", "factor_s_forms"),
+            ("bowcalc.stabloc", "restrict_taut"),
             ("LocalizedScalar", "_reduce"),
             ("MultiPoly", "exact_div"),
         ):
