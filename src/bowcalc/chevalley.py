@@ -9,6 +9,7 @@ restriction, off-diagonal = signed h on twisted simple moves) and the oracle
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from graphlib import TopologicalSorter
 from types import MappingProxyType
@@ -26,6 +27,7 @@ from .exactalg import (
     MultiPoly,
     NonPolynomialError,
     RingMap,
+    _cancel_forms,
     factor_s_forms,
 )
 from .memo import ReadOnly, memo
@@ -56,29 +58,39 @@ def _tangent_factors(diagram, z):
     return out
 
 
-def _tangent_summands(a, bs, tangent):
-    """The reduced localized summands a*b / e(T), one per polynomial b of ``bs``.
+def _form_profile(b, forms):
+    """How often each form of the sorted multiset ``forms`` divides b, capped
+    at its multiplicity there, as a Counter."""
+    return Counter(forms) - Counter(_cancel_forms(b, forms)[1])
+
+
+def _tangent_summands(a, rows, tangent):
+    """The reduced localized summands a*b / e(T), one per pair (b, profile)
+    of ``rows``, where profile is ``_form_profile(b, forms)``.
 
     ``tangent`` is e(T) factored as (constant, h power, S forms).  ``a`` is
-    cancelled against the forms once, and each b against the forms left over,
-    before anything is multiplied.  The forms are linear, hence prime, so this
-    cancels exactly the forms that reducing a*b would, while the trial
-    divisions run on the factors instead of on their much larger product.
-    The h power is divided out of each product.
+    cancelled against the forms once; each b is then divided by the forms
+    that a left over and its profile holds, every division exact, before
+    anything is multiplied.  The forms are linear, hence prime, so this
+    cancels exactly the forms that reducing a*b would, while the divisions
+    run on the factors instead of on their much larger product.  The h power
+    is divided out of each product.
     """
     const, hpow, forms = tangent
-    a = LocalizedScalar(a, forms)
+    a, rest = _cancel_forms(a, forms)
+    rest = Counter(rest)
     inv = Fraction(1) / const
     out = []
-    for b in bs:
-        summand = a * b * inv
+    for b, profile in rows:
+        both = rest & profile
+        for form in sorted(both.elements()):
+            b = b.exact_div(form.as_poly(b.window))
+        num = a * b * inv
         if hpow:
-            num = summand.num
             if num.h_valuation() < hpow:
                 raise NonPolynomialError("tangent h power does not cancel")
             num = num.exact_div(MultiPoly.h(num.window) ** hpow)
-            summand = LocalizedScalar(num, summand.denoms, reduce_now=False)
-        out.append(summand)
+        out.append(LocalizedScalar(num, (rest - both).elements(), reduce_now=False))
     return out
 
 
@@ -88,27 +100,29 @@ def _pairing_terms(diagram, z):
 
     Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}: the summands
     ``gram_matrix`` adds up for this diagram and chamber, also read by the
-    pairing route in ``tests/pairing_route.py``.
+    pairing route in ``tests/pairing_route.py``.  Each nonzero Stab_op(D')|_T
+    is profiled against T's tangent forms once, and each nonzero Stab(D)|_T
+    is cancelled once, for all D'.
     """
     keys = list(_fixed_points(diagram))
     grid_c = stab_grid(diagram, z)
     grid_op = stab_grid(diagram, opposite_chamber(z))
     tangent = _tangent_factors(diagram, z)
-    # the nonzero opposite-chamber multiplicities at each fixed point T
-    op_rows = {
-        tk: [(dpk, grid_op[(tk, dpk)]) for dpk in keys if not grid_op[(tk, dpk)].is_zero()]
-        for tk in keys
-    }
     out = {(dk, dpk): [] for dk in keys for dpk in keys}
-    # D, then T, then D': each Stab(D)|_T is cancelled once for all D'
-    for dk in keys:
-        for tk in keys:
+    # T, then D, then D'; each pair's summands still come in T order
+    for tk in keys:
+        forms = tangent[tk][2]
+        ops, rows = [], []
+        for dpk in keys:
+            b = grid_op[(tk, dpk)]
+            if not b.is_zero():
+                ops.append(dpk)
+                rows.append((b, _form_profile(b, forms)))
+        for dk in keys:
             a = grid_c[(tk, dk)]
             if a.is_zero():
                 continue
-            row = op_rows[tk]
-            summands = _tangent_summands(a, [b for _, b in row], tangent[tk])
-            for (dpk, _), summand in zip(row, summands):
+            for dpk, summand in zip(ops, _tangent_summands(a, rows, tangent[tk])):
                 out[(dk, dpk)].append((tk, summand))
     return {pair: tuple(terms) for pair, terms in out.items()}
 
@@ -125,7 +139,8 @@ def virtual_pairing(diagram, z, vec_a, vec_b):
         a, b = vec_a[key], vec_b[key]
         if a.is_zero() or b.is_zero():
             continue
-        total = total + _tangent_summands(a, [b], tangent[key])[0]
+        profile = _form_profile(b, tangent[key][2])
+        total = total + _tangent_summands(a, [(b, profile)], tangent[key])[0]
     return total
 
 
@@ -272,12 +287,24 @@ def normalized_cm(diagram, j):
 # -- verification suite ---------------------------------------------------------
 
 
+@memo(lambda diagram, z: (diagram.key(), z.one_line))
 def gram_matrix(diagram, z):
-    """Pairings of the chamber-z stable basis against the opposite one."""
-    pair_terms = _pairing_terms(diagram, z)
+    """Pairings of the chamber-z stable basis against the opposite one.
+
+    The summand of <Stab_z(D), Stab_-z(D')> at T is that of
+    <Stab_-z(D'), Stab_z(D)> at T, so of a chamber and its opposite only the
+    one with the smaller one-line notation sums its pairing terms; the other
+    reads the transpose, in the same key order.  A self-opposite chamber
+    (N <= 1) sums its own.
+    """
+    op = opposite_chamber(z)
+    if op.one_line < z.one_line:
+        other = gram_matrix(diagram, op)
+        keys = list(_fixed_points(diagram))
+        return {(a, b): other[(b, a)] for a in keys for b in keys}
     zero = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
     out = {}
-    for pair, terms in pair_terms.items():
+    for pair, terms in _pairing_terms(diagram, z).items():
         total = zero
         for _, scalar in terms:
             total = total + scalar

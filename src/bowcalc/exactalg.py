@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 
-from .memo import ReadOnly
+from .memo import ReadOnly, memo
 
 
 class WindowMismatchError(ValueError):
@@ -370,12 +370,35 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.window)
+        guard = _guard(self.window)
+        if len(q._terms) == 1:
+            # a monomial divides term by term: each key shifts by the
+            # divisor's, and every key must pass the borrow test, which is
+            # where the heap below would stop
+            (lm, lc), = q._terms.items()
+            quot = {}
+            for mono, rc in self._terms.items():
+                diff = (mono | guard) - lm
+                if diff & guard != guard:
+                    raise NotDivisibleError("leading term not divisible")
+                if isinstance(rc, int) and isinstance(lc, int):
+                    c = rc // lc if rc % lc == 0 else Fraction(rc, lc)
+                else:
+                    c = rc / lc
+                quot[diff - guard] = c
+            return MultiPoly._raw(self.window, quot)
 
-        rem = self._terms.copy()
+        # the leading and the lowest term of a product are the products of
+        # its factors' leading and lowest terms, so q's must divide self's:
+        # most failing trials stop here, before the remainder is copied
         lm = max(q._terms)
+        if ((max(self._terms) | guard) - lm) & guard != guard:
+            raise NotDivisibleError("leading term not divisible")
+        if ((min(self._terms) | guard) - min(q._terms)) & guard != guard:
+            raise NotDivisibleError("lowest term not divisible")
+        rem = self._terms.copy()
         lc = q._terms[lm]
         qterms = tuple(q._terms.items())
-        guard = _guard(self.window)
         # lazy-deletion max-heap of the remainder's keys, negated
         heap = [-m for m in rem]
         heapq.heapify(heap)
@@ -486,6 +509,7 @@ class LinearForm(namedtuple("LinearForm", "i j m")):
             return cls(i, j, m), 1
         return cls(j, i, -m), -1
 
+    @memo(lambda self, window: (self, window))
     def as_poly(self, window):
         return MultiPoly.linear(window, {self.i: 1, self.j: -1}, self.m)
 
@@ -622,7 +646,13 @@ class LocalizedScalar(ReadOnly):
         b = other.num * poly_product(
             [f.as_poly(self.window) for f in (mine - common).elements()], self.window
         )
-        return LocalizedScalar(a + b, list((mine | theirs).elements()))
+        # both operands are reduced, so a form whose multiplicities differ
+        # divides exactly one of a and b and cannot divide a + b: only the
+        # forms of equal multiplicity are tried
+        even = Counter({f: k for f, k in common.items() if mine[f] == theirs[f]})
+        num, kept = _cancel_forms(a + b, sorted(even.elements()))
+        denoms = (mine | theirs) - even
+        return LocalizedScalar(num, list(denoms.elements()) + list(kept), reduce_now=False)
 
     __radd__ = __add__
 

@@ -13,9 +13,14 @@ that make fully separated permutations rigid.
 from itertools import permutations as iter_permutations
 
 from .exactalg import MultiPoly, WindowMismatchError
+from .memo import ReadOnly
 
 
-class Permutation:
+class Permutation(ReadOnly):
+    """A permutation of 1..n in one-line notation.  Read-only, since chambers
+    are memo keys and memoized matrices keep theirs; the inverse and the
+    length are filled in once, on first use."""
+
     __slots__ = ("one_line", "n", "_inv", "_len")
 
     def __init__(self, one_line):
@@ -23,10 +28,10 @@ class Permutation:
         n = len(ol)
         if sorted(ol) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..%d: %r" % (n, ol))
-        self.one_line = ol
-        self.n = n
-        self._inv = None
-        self._len = None
+        object.__setattr__(self, "one_line", ol)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_len", None)
 
     @classmethod
     def identity(cls, n):
@@ -66,8 +71,9 @@ class Permutation:
             inv = [0] * self.n
             for pos, val in enumerate(self.one_line):
                 inv[val - 1] = pos + 1
-            self._inv = Permutation(inv)
-            self._inv._inv = self
+            inv = Permutation(inv)
+            object.__setattr__(inv, "_inv", self)
+            object.__setattr__(self, "_inv", inv)
         return self._inv
 
     def inversions(self):
@@ -81,7 +87,7 @@ class Permutation:
 
     def length(self):
         if self._len is None:
-            self._len = len(self.inversions())
+            object.__setattr__(self, "_len", len(self.inversions()))
         return self._len
 
     def __eq__(self, other):

@@ -39,3 +39,17 @@ def cm_matrix_pairing(diagram, z, j, pair_terms=None):
                 total = total + part * c
             entries[(dpk, dk)] = total.to_poly()
     return CMMatrix(diagram, z, j, basis, entries)
+
+
+def direct_gram(diagram, z):
+    """The Gram matrix of chamber z summed from its own pairing terms, past
+    every memo: the reference for ``gram_matrix``, which reads one chamber
+    of each opposite pair as the other's transpose."""
+    zero = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
+    out = {}
+    for pair, terms in _pairing_terms.__wrapped__(diagram, z).items():
+        total = zero
+        for _, scalar in terms:
+            total = total + scalar
+        out[pair] = total
+    return out

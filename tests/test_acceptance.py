@@ -15,6 +15,7 @@ from bowcalc.chevalley import (
     check_orthogonality,
     cm_matrix,
     cm_matrix_oracle,
+    gram_matrix,
 )
 from bowcalc.diagrams import (
     BraneDiagram,
@@ -45,7 +46,7 @@ from bowcalc.stabloc import (
     stab_restriction,
     stab_tilde_antidominant,
 )
-from pairing_route import cm_matrix_pairing
+from pairing_route import cm_matrix_pairing, direct_gram
 
 W = Permutation.parse
 
@@ -290,6 +291,18 @@ def test_cm_matrix_self_adjoint():
                 c = cm_matrix(d, z, j).entries
                 c_op = cm_matrix(d, opposite_chamber(z), j).entries
                 assert c_op == {(col, row): v for (row, col), v in c.items()}, (d.format(), str(z), j)
+
+
+def test_opposite_gram_is_the_transpose():
+    # of a chamber pair, one Gram matrix is read as the other's transpose; it
+    # must be the matrix that summing its own pairing terms gives, entry by
+    # entry and in the same key order
+    texts = ("0/1/2\\1\\2/1\\0", "0/1/2/3\\2\\1\\1\\0")
+    for d in family() + [BraneDiagram.parse(t) for t in texts]:
+        for z in (Permutation.identity(d.N), random_chamber(d.N, seed=1729 + d.N)):
+            op = opposite_chamber(z)
+            want = [(k, str(v)) for k, v in direct_gram(d, op).items()]
+            assert [(k, str(v)) for k, v in gram_matrix(d, op).items()] == want, (d.format(), str(z))
 
 
 def test_criterion_8_divisibility_and_congruence():

@@ -22,7 +22,7 @@ from bowcalc.diagrams import BraneDiagram, TieDiagram, enumerate_ties, flag_diag
 from bowcalc.exactalg import LocalizedScalar, MultiPoly, NonPolynomialError, NotDivisibleError
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import _chern_table, opposite_chamber, stab_grid
-from pairing_route import cm_matrix_pairing
+from pairing_route import cm_matrix_pairing, direct_gram
 
 W = Permutation.parse
 
@@ -248,6 +248,34 @@ def test_gram_entries_equal_virtual_pairings():
                     value = virtual_pairing(d, z, vec_a, vec_b)
                     assert value == gram[(Da.key(), Db.key())]
                     assert str(value) == str(gram[(Da.key(), Db.key())])
+
+
+def test_opposite_failures_keep_the_direct_order(monkeypatch):
+    # with a corrupted identity grid, w0's Gram matrix, read as the transpose
+    # of the identity's, reports the failures that summing w0's own pairing
+    # terms reports, in the same order; both are built past their memos
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    zid, w0 = Permutation.identity(3), Permutation.longest(3)
+    grid = stab_grid(d, zid)
+    # every nonzero off-diagonal entry flipped: failures in several rows and
+    # columns, so that an order other than the direct one shows
+    corrupted = {k: v if k[0] == k[1] else -v for k, v in grid.items()}
+    monkeypatch.setattr(
+        chevalley,
+        "stab_grid",
+        lambda diagram, z, normalized=False: corrupted
+        if (diagram.key(), z) == (d.key(), zid)
+        else stab_grid(diagram, z, normalized),
+    )
+    monkeypatch.setattr(chevalley, "_pairing_terms", _pairing_terms.__wrapped__)
+    monkeypatch.setattr(chevalley, "gram_matrix", gram_matrix.__wrapped__)
+    want = [
+        {"row": a, "col": b, "value": str(total)}
+        for (a, b), total in direct_gram(d, w0).items()
+        if not total == (1 if a == b else 0)
+    ]
+    assert len({f["row"] for f in want}) > 1 and len({f["col"] for f in want}) > 1
+    assert check_orthogonality(d, w0) == want
 
 
 def _rejects(route, formula):

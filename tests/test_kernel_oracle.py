@@ -54,6 +54,7 @@ def poly_strategy(window, max_exp, max_size, min_size=0):
 POLYS = {w: poly_strategy(w, MAX_EXP, 5) for w in WINDOWS}
 SMALL = {w: poly_strategy(w, 3, 3) for w in WINDOWS}
 DIVISORS = {w: poly_strategy(w, 3, 3, min_size=1) for w in WINDOWS}
+MONOMIALS = {w: poly_strategy(w, 3, 1, min_size=1) for w in WINDOWS}
 # degree <= 1: each term is a constant, one t variable or h
 LINEAR = {
     w: st.dictionaries(
@@ -85,9 +86,10 @@ def test_ring_operations_match_sympy(pair):
 
 @st.composite
 def division_inputs(draw):
-    """(dividend, divisor): an exact multiple half of the time."""
+    """(dividend, divisor): an exact multiple half of the time, and a
+    single-term divisor (the key-shift path) a third of the time."""
     window = draw(WINDOW)
-    q = draw(DIVISORS[window])
+    q = draw(draw(st.sampled_from((DIVISORS, DIVISORS, MONOMIALS)))[window])
     if draw(BOOLS):
         return draw(SMALL[window]) * q, q
     return draw(POLYS[window]), q

@@ -1,7 +1,8 @@
 """Cancel-before-multiply against multiply-then-reduce, with a sympy oracle.
 
 The pairing summands a*b / e(T) cancel the tangent forms against a, then
-against b, and only then multiply.  These properties check on random
+divide b by the forms a left over that b's divisibility profile holds, and
+only then multiply.  These properties check on random
 polynomials times random products of S forms that the result is exactly the
 fraction that reducing the whole product gives (same numerator, same sorted
 denominators), and, through sympy's ``cancel`` and ``gcd`` over QQ, that it equals
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from bowcalc.chevalley import _tangent_summands
+from bowcalc.chevalley import _form_profile, _tangent_summands
 from bowcalc.exactalg import (
     LinearForm,
     LocalizedScalar,
@@ -119,7 +120,16 @@ def test_tangent_summands_equal_product_then_reduce(inputs):
     window = a.window
     euler = poly_product([f.as_poly(window) for f in forms_], window)
     euler = euler * MultiPoly.h(window) ** hpow * const
-    for b, got in zip(bs, _tangent_summands(a, bs, tangent)):
+    rows = [(b, _form_profile(b, forms_)) for b in bs]
+    for b, profile in rows:
+        # each form's multiplicity in b, capped at its multiplicity in e(T)
+        B = to_sympy(b)
+        for f in set(forms_):
+            k, F = profile[f], to_sympy(f.as_poly(window))
+            assert 0 <= k <= forms_.count(f)
+            assert B.rem(F ** k) == 0
+            assert k == forms_.count(f) or B.rem(F ** (k + 1)) != 0
+    for b, got in zip(bs, _tangent_summands(a, rows, tangent)):
         want = reduce_product(a, b, tangent)
         assert got.num == want.num and got.denoms == want.denoms
         assert str(got) == str(want)
@@ -171,13 +181,20 @@ def test_factor_s_forms_recovers_the_factors(built):
 @st.composite
 def scalar_pairs(draw):
     """Numerators and denominator forms of two scalars over one window.  In
-    every other pair the second is the first with one more form in its
-    numerator and denominator, so that equality is exercised both ways."""
+    a third of the pairs the second is the first with one more form in its
+    numerator and denominator, so that equality is exercised both ways; in
+    another third the second's denominators hold one of the first's once
+    more, so that a form is shared with unequal multiplicities."""
     window = draw(st.sampled_from(WINDOWS))
     num, denoms = draw(polys(window, allow_zero=True)), draw(st.lists(FORMS[window], max_size=4))
-    if draw(st.booleans()):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
         extra = draw(FORMS[window])
         other = (num * extra.as_poly(window), denoms + [extra])
+    elif kind == 1 and denoms:
+        shared = draw(st.sampled_from(denoms))
+        own = [f for f in draw(st.lists(FORMS[window], max_size=2)) if f != shared]
+        other = (draw(polys(window)), own + [shared] * (denoms.count(shared) + 1))
     else:
         other = (draw(polys(window, allow_zero=True)), draw(st.lists(FORMS[window], max_size=4)))
     return (num, denoms), other

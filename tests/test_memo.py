@@ -12,6 +12,7 @@ from bowcalc.chevalley import (
     check_orthogonality,
     cm_matrix,
     cm_matrix_oracle,
+    gram_matrix,
 )
 from bowcalc.diagrams import (
     BraneDiagram,
@@ -28,6 +29,7 @@ from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import (
     _chern_table,
+    opposite_chamber,
     restrict_taut,
     stab_grid,
     stab_tilde_grid,
@@ -141,6 +143,12 @@ def test_pairing_tables_are_shared_and_read_only():
     assert again is terms
     assert {k: [(tk, str(s)) for tk, s in v] for k, v in again.items()} == before
 
+    for chamber in (z, opposite_chamber(z)):  # summed, and read as a transpose
+        gram = gram_matrix(d, chamber)
+        with pytest.raises(TypeError):
+            gram[k] = None
+        assert gram_matrix(d, chamber) is gram
+
     tangent = _tangent_factors(d, z)
     with pytest.raises(TypeError):
         tangent[k[0]] = None
@@ -237,3 +245,17 @@ def test_a_diagram_is_read_only():
     b = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
     assert enumerate_ties(b)[0] is points[0]
     assert points[0].diagram.labels == b.labels == (0, 1, 3, 5, 3, 2, 0)
+
+
+def test_a_permutation_is_read_only():
+    # a memoized matrix keeps the first caller's chamber
+    d = BraneDiagram.parse(DIAGRAM)
+    z = cm_matrix(d, Permutation.identity(d.N), 2).chamber
+    for name, value in (("one_line", (2, 1)), ("n", 3), ("_inv", None), ("_len", 1)):
+        with pytest.raises(AttributeError, match="Permutation is read-only"):
+            setattr(z, name, value)
+    with pytest.raises(AttributeError):
+        del z.one_line
+    inv = z.inverse()
+    assert inv.inverse() is z and z.length() == 0
+    assert cm_matrix(d, Permutation.identity(d.N), 2).chamber.one_line == (1, 2)

@@ -35,6 +35,7 @@ def test_tracer_installs_and_uninstalls_cleanly():
         during = _snapshot()
         for owner, name in (
             ("bowcalc.chevalley", "_pairing_terms"),
+            ("bowcalc.chevalley", "gram_matrix"),
             ("bowcalc.exactalg", "factor_s_forms"),
             ("bowcalc.stabloc", "restrict_taut"),
             ("LocalizedScalar", "_reduce"),
