@@ -156,13 +156,14 @@ class MultiPoly:
     ``OverflowError``; no field ever carries into its neighbour.
 
     ``terms`` is a read-only view keyed by exponent tuples of length window+1
-    (t exponents first, h exponent last).
+    (t exponents first, h exponent last), and ``window`` has no setter, so a
+    polynomial shared through the memo keeps both.
     """
 
-    __slots__ = ("window", "_terms", "_hash", "_str")
+    __slots__ = ("_window", "_terms", "_hash", "_str")
 
     def __init__(self, window, terms=None):
-        self.window = window
+        self._window = window
         clean = {}
         if terms:
             for mono, coef in terms.items():
@@ -175,8 +176,12 @@ class MultiPoly:
         self._str = None
 
     @property
+    def window(self):
+        return self._window
+
+    @property
     def terms(self):
-        return TermView(self._terms, self.window)
+        return TermView(self._terms, self._window)
 
     # -- constructors ------------------------------------------------------
 
@@ -185,7 +190,7 @@ class MultiPoly:
         # internal: terms must be clean (packed keys, no zeros, int/Fraction
         # coefficients) and owned by the new polynomial
         self = cls.__new__(cls)
-        self.window = window
+        self._window = window
         self._terms = terms
         self._hash = None
         self._str = None
@@ -235,14 +240,14 @@ class MultiPoly:
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other):
-        if self.window != other.window:
+        if self._window != other._window:
             raise WindowMismatchError(
-                "window mismatch: %d vs %d" % (self.window, other.window)
+                "window mismatch: %d vs %d" % (self._window, other._window)
             )
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.window)
+            other = MultiPoly.const(other, self._window)
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -253,16 +258,16 @@ class MultiPoly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return MultiPoly._raw(self.window, terms)
+        return MultiPoly._raw(self._window, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.window, {k: -c for k, c in self._terms.items()})
+        return MultiPoly._raw(self._window, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.window)
+            other = MultiPoly.const(other, self._window)
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         return self + (-other)
@@ -273,11 +278,11 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return MultiPoly.zero(self.window)
+                return MultiPoly.zero(self._window)
             if type(other) is not int and other.denominator == 1:
                 other = other.numerator
             return MultiPoly._raw(
-                self.window, {k: c * other for k, c in self._terms.items()}
+                self._window, {k: c * other for k, c in self._terms.items()}
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -286,9 +291,9 @@ class MultiPoly:
         if len(a) < len(b):
             a, b = b, a
         if not b:
-            return MultiPoly.zero(self.window)
+            return MultiPoly.zero(self._window)
         # the largest key of the product is the sum of the largest keys
-        if (max(a) + max(b)) >> FIELD * (self.window + 1) >= DEGREE_LIMIT:
+        if (max(a) + max(b)) >> FIELD * (self._window + 1) >= DEGREE_LIMIT:
             raise OverflowError("product degree reaches the limit %d" % DEGREE_LIMIT)
         b = tuple(b.items())
         prod = {}
@@ -300,14 +305,14 @@ class MultiPoly:
                     prod[mono] = s
                 else:
                     del prod[mono]
-        return MultiPoly._raw(self.window, prod)
+        return MultiPoly._raw(self._window, prod)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.one(self.window)
+        result = MultiPoly.one(self._window)
         base = self
         while k:
             if k & 1:
@@ -318,14 +323,14 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.window)
+            other = MultiPoly.const(other, self._window)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.window == other.window and self._terms == other._terms
+        return self._window == other._window and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.window, frozenset(self._terms.items())))
+            self._hash = hash((self._window, frozenset(self._terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -340,7 +345,7 @@ class MultiPoly:
         """Total degree with deg t_i = deg h = 1; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(self._terms) >> _degree_shift(self.window)
+        return max(self._terms) >> _degree_shift(self._window)
 
     def h_valuation(self):
         """Largest m with h^m dividing self; INF for the zero polynomial."""
@@ -357,7 +362,7 @@ class MultiPoly:
 
     def leading(self):
         key = max(self._terms)
-        return _unpack(key, self.window), self._terms[key]
+        return _unpack(key, self._window), self._terms[key]
 
     # -- division ----------------------------------------------------------
 
@@ -369,8 +374,8 @@ class MultiPoly:
         if q.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return MultiPoly.zero(self.window)
-        guard = _guard(self.window)
+            return MultiPoly.zero(self._window)
+        guard = _guard(self._window)
         if len(q._terms) == 1:
             # a monomial divides term by term: each key shifts by the
             # divisor's, and every key must pass the borrow test, which is
@@ -386,7 +391,7 @@ class MultiPoly:
                 else:
                     c = rc / lc
                 quot[diff - guard] = c
-            return MultiPoly._raw(self.window, quot)
+            return MultiPoly._raw(self._window, quot)
 
         # the leading and the lowest term of a product are the products of
         # its factors' leading and lowest terms, so q's must divide self's:
@@ -396,8 +401,10 @@ class MultiPoly:
             raise NotDivisibleError("leading term not divisible")
         if ((min(self._terms) | guard) - min(q._terms)) & guard != guard:
             raise NotDivisibleError("lowest term not divisible")
-        rem = self._terms.copy()
         lc = q._terms[lm]
+        if lm >> _degree_shift(self._window) == 1:
+            return self._div_linear(lm, lc, q)
+        rem = self._terms.copy()
         qterms = tuple(q._terms.items())
         # lazy-deletion max-heap of the remainder's keys, negated
         heap = [-m for m in rem]
@@ -428,12 +435,55 @@ class MultiPoly:
                     rem[m] = s
                 else:
                     rem.pop(m, None)
-        return MultiPoly._raw(self.window, quot)
+        return MultiPoly._raw(self._window, quot)
+
+    def _div_linear(self, lm, lc, q):
+        """Divide by q = lc*v + rest of degree 1, with lm = v's key (synthetic
+        division in v: no other variable of q is v).
+
+        The dividend's terms are filed by their exponent of v.  Working down
+        from the top exponent, every term left at exponent e >= 1 is lc*v
+        times one quotient term, whose product with rest is subtracted at
+        exponent e - 1.  The quotient is forced term by term, so q divides
+        exactly when nothing is left at exponent 0.
+        """
+        vshift = (lm & ((1 << _degree_shift(self._window)) - 1)).bit_length() - 1
+        buckets = {}
+        for key, coef in self._terms.items():
+            e = key >> vshift & _MASK
+            bucket = buckets.get(e)
+            if bucket is None:
+                buckets[e] = {key: coef}
+            else:
+                bucket[key] = coef
+        # key - lm + m2 is the v exponent below for every term m2 of rest
+        rest = tuple((m2 - lm, c2) for m2, c2 in q._terms.items() if m2 != lm)
+        quot = {}
+        for e in range(max(buckets), 0, -1):
+            bucket = buckets.get(e)
+            if not bucket:
+                continue
+            below = buckets.setdefault(e - 1, {})
+            for mono, rc in bucket.items():
+                if lc == 1:
+                    c = rc
+                elif isinstance(rc, int) and isinstance(lc, int):
+                    c = rc // lc if rc % lc == 0 else Fraction(rc, lc)
+                else:
+                    c = rc / lc
+                quot[mono - lm] = c
+                for off, c2 in rest:
+                    m = mono + off
+                    s = below.get(m, 0) - c * c2
+                    if s:
+                        below[m] = s
+                    else:
+                        del below[m]
+        if buckets.get(0):
+            raise NotDivisibleError("remainder at v^0 is not zero")
+        return MultiPoly._raw(self._window, quot)
 
     # -- serialization -----------------------------------------------------
-
-    def _var_names(self):
-        return ["t%d" % (i + 1) for i in range(self.window)] + ["h"]
 
     def __str__(self):
         if self._str is None:
@@ -443,42 +493,47 @@ class MultiPoly:
     def _format(self):
         if not self._terms:
             return "0"
-        names = self._var_names()
+        terms, window = self._terms, self._window
         parts = []
-        for key in sorted(self._terms, reverse=True):
-            coef = self._terms[key]
-            factors = []
-            for name, e in zip(names, _unpack(key, self.window)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            if not factors:
-                body = str(abs(coef))
-            else:
-                body = "*".join(factors)
-                if abs(coef) != 1:
-                    body = "%s*%s" % (abs(coef), body)
-            sign = "-" if coef < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        for key in sorted(terms, reverse=True):
+            coef = terms[key]
+            text = _monomial_text(key, window)
+            size = abs(coef)
+            if not text:
+                text = str(size)
+            elif size != 1:
+                text = "%s*%s" % (size, text)
+            parts.append((" - " if coef < 0 else " + ") + text)
+        first = parts[0]
+        parts[0] = ("-" if first[1] == "-" else "") + first[3:]
+        return "".join(parts)
 
     def __repr__(self):
-        return "MultiPoly(%d, %s)" % (self.window, str(self))
+        return "MultiPoly(%d, %s)" % (self._window, str(self))
 
     def structured(self):
         """Canonically sorted list of {coef, exps} dicts (JSON-friendly)."""
-        names = self._var_names()
+        names = _var_names(self._window)
         out = []
         for key in sorted(self._terms, reverse=True):
             coef = self._terms[key]
-            exps = {n: e for n, e in zip(names, _unpack(key, self.window)) if e}
+            exps = {n: e for n, e in zip(names, _unpack(key, self._window)) if e}
             out.append({"coef": "%d/%d" % (coef.numerator, coef.denominator), "exps": exps})
         return out
+
+
+def _var_names(window):
+    return ["t%d" % (i + 1) for i in range(window)] + ["h"]
+
+
+@memo(lambda key, window: (key, window))
+def _monomial_text(key, window):
+    """A monomial's factors as str() prints them, "t1^2*t3*h"; "" for 1."""
+    return "*".join(
+        name if e == 1 else "%s^%d" % (name, e)
+        for name, e in zip(_var_names(window), _unpack(key, window))
+        if e
+    )
 
 
 def poly_product(polys, window):
@@ -540,7 +595,7 @@ def factor_s_forms(p):
     NotDivisibleError once the bound passes that product, or when it is not
     a nonzero integer.
     """
-    window = p.window
+    window = p._window
     if p.is_zero():
         raise NotDivisibleError("zero polynomial has no S-form factorization")
     hpow = p.h_valuation()
@@ -583,7 +638,7 @@ def _cancel_forms(num, forms):
     remaining = []
     for form in forms:
         try:
-            num = num.exact_div(form.as_poly(num.window))
+            num = num.exact_div(form.as_poly(num._window))
         except NotDivisibleError:
             remaining.append(form)
     return num, tuple(remaining)
@@ -616,7 +671,7 @@ class LocalizedScalar(ReadOnly):
 
     @property
     def window(self):
-        return self.num.window
+        return self.num._window
 
     @classmethod
     def from_poly(cls, p):
@@ -701,14 +756,14 @@ class LocalizedScalar(ReadOnly):
 class RingMap:
     """Q[h]-algebra homomorphism: every t variable maps to a degree <= 1 poly."""
 
-    __slots__ = ("source", "target", "images", "_pows", "_renumber", "_affine")
+    __slots__ = ("source", "target", "images", "_pows", "_renumber", "_affine", "_table")
 
     def __init__(self, source, target, images):
         if len(images) != source:
             raise WindowMismatchError("need %d images, got %d" % (source, len(images)))
         for im in images:
-            if im.window != target:
-                raise WindowMismatchError("image window %d, expected %d" % (im.window, target))
+            if im._window != target:
+                raise WindowMismatchError("image window %d, expected %d" % (im._window, target))
             if im.degree() > 1:
                 raise ValueError("ring map images must have degree <= 1")
         self.source = source
@@ -729,6 +784,7 @@ class RingMap:
             affine.append((i, shift))
         self._renumber = tuple(renumber)
         self._affine = tuple(affine)
+        self._table = {}  # packed monomial -> its image, see _image
 
     def _power(self, i, e):
         cache = self._pows[i - 1]
@@ -757,47 +813,44 @@ class RingMap:
         """t_i -> t_{index_map[i]}."""
         return cls(source, target, [MultiPoly.t(index_map[i], target) for i in range(1, source + 1)])
 
+    def _image(self, key):
+        """The image of one packed monomial, as a tuple of (key, coef).
+
+        h is fixed: its exponent moves to the target's h field, and each unit
+        of it adds h_unit (one to the h field, one to the degree).  The
+        renumbered variables move their exponents to their targets' fields;
+        the affine ones contribute the product of their cached powers.
+        """
+        new = (key & _MASK) * _unit(self.target + 1, self.target)
+        for shift, unit in self._renumber:
+            new += (key >> shift & _MASK) * unit
+        factor = None
+        for i, shift in self._affine:
+            e = key >> shift & _MASK
+            if e:
+                pw = self._power(i, e)
+                factor = pw if factor is None else factor * pw
+        if factor is None:
+            return ((new, 1),)
+        return tuple((new + m, c) for m, c in factor._terms.items())
+
     def __call__(self, p):
-        if p.window != self.source:
-            raise WindowMismatchError("window %d, map expects %d" % (p.window, self.source))
-        # h is fixed: its exponent moves to the target's h field, and each
-        # unit of it adds h_unit (one to the h field, one to the degree).
-        # Each monomial is renumbered and filed under its affine exponents;
-        # each group is then multiplied once by the product of their powers.
-        h_unit = _unit(self.target + 1, self.target)
-        renumber, affine = self._renumber, self._affine
-        groups = {}
+        if p._window != self.source:
+            raise WindowMismatchError("window %d, map expects %d" % (p._window, self.source))
+        # the grids repeat few monomials many times: each one's image is
+        # computed once per map and read from the table after that
+        table = self._table
+        acc = {}
         for key, coef in p._terms.items():
-            new = (key & _MASK) * h_unit
-            for shift, unit in renumber:
-                e = key >> shift & _MASK
-                if e:
-                    new += e * unit
-            group = tuple(key >> shift & _MASK for _, shift in affine) if affine else ()
-            terms = groups.get(group)
-            if terms is None:
-                groups[group] = {new: coef}
-            else:
-                s = terms.get(new, 0) + coef
+            image = table.get(key)
+            if image is None:
+                image = table[key] = self._image(key)
+            for m, c in image:
+                s = acc.get(m, 0) + coef * c
                 if s:
-                    terms[new] = s
+                    acc[m] = s
                 else:
-                    del terms[new]
-        acc = groups.pop((0,) * len(affine), {})
-        for group, terms in groups.items():
-            factor = None
-            for (i, _), e in zip(affine, group):
-                if e:
-                    pw = self._power(i, e)
-                    factor = pw if factor is None else factor * pw
-            for m2, c2 in factor._terms.items():
-                for m1, c1 in terms.items():
-                    m = m1 + m2
-                    s = acc.get(m, 0) + c1 * c2
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
+                    del acc[m]
         return MultiPoly._raw(self.target, acc)
 
     def compose(self, inner):

@@ -9,9 +9,11 @@ restrictions (``restrict_taut``); the stable-envelope grids
 (``tangent_euler``) and their factors (``chevalley._tangent_factors``); the
 pairing summands (``chevalley._pairing_terms``) and the Gram matrices
 (``gram_matrix``); the Chevalley-Monk matrices of the formula and the oracle
-(``cm_matrix``, ``cm_matrix_oracle``); and the polynomial of each linear
+(``cm_matrix``, ``cm_matrix_oracle``); the polynomial of each linear
 form in each window (``LinearForm.as_poly``), which every trial division
-by a form reads."""
+by a form reads; and the printed factors of each monomial in each window
+(``exactalg._monomial_text``), which every ``str()`` of a polynomial
+reads."""
 
 import functools
 from types import MappingProxyType

@@ -28,10 +28,21 @@ class Permutation(ReadOnly):
         n = len(ol)
         if sorted(ol) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..%d: %r" % (n, ol))
+        self._fill(ol)
+
+    def _fill(self, ol):
         object.__setattr__(self, "one_line", ol)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(ol))
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_len", None)
+
+    @classmethod
+    def _trusted(cls, ol):
+        # internal: ol is a tuple that is a permutation by construction
+        # (a product or an inverse), so it is not checked again
+        self = cls.__new__(cls)
+        self._fill(ol)
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -64,14 +75,15 @@ class Permutation(ReadOnly):
     def __mul__(self, other):
         if self.n != other.n:
             raise WindowMismatchError("permutation windows differ")
-        return Permutation(tuple(self.one_line[other.one_line[i] - 1] for i in range(self.n)))
+        ol = self.one_line
+        return Permutation._trusted(tuple([ol[i - 1] for i in other.one_line]))
 
     def inverse(self):
         if self._inv is None:
             inv = [0] * self.n
             for pos, val in enumerate(self.one_line):
                 inv[val - 1] = pos + 1
-            inv = Permutation(inv)
+            inv = Permutation._trusted(tuple(inv))
             object.__setattr__(inv, "_inv", self)
             object.__setattr__(self, "_inv", inv)
         return self._inv

@@ -12,7 +12,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.orderings import grlex
@@ -63,6 +63,8 @@ LINEAR = {
     ).map(lambda d, w=w: MultiPoly(w, d))
     for w in WINDOWS
 }
+# degree exactly 1 with at least two terms: the synthetic-division path
+FORMS = {w: LINEAR[w].filter(lambda q: q.degree() == 1 and len(q.terms) > 1) for w in WINDOWS}
 PERMUTATIONS = {w: st.permutations(range(1, w + 1)).map(Permutation) for w in WINDOWS}
 
 
@@ -86,10 +88,11 @@ def test_ring_operations_match_sympy(pair):
 
 @st.composite
 def division_inputs(draw):
-    """(dividend, divisor): an exact multiple half of the time, and a
-    single-term divisor (the key-shift path) a third of the time."""
+    """(dividend, divisor): an exact multiple half of the time; the divisor
+    is a single term (the key-shift path) a quarter of the time and of
+    degree exactly 1 (the synthetic-division path) another quarter."""
     window = draw(WINDOW)
-    q = draw(draw(st.sampled_from((DIVISORS, DIVISORS, MONOMIALS)))[window])
+    q = draw(draw(st.sampled_from((DIVISORS, DIVISORS, MONOMIALS, FORMS)))[window])
     if draw(BOOLS):
         return draw(SMALL[window]) * q, q
     return draw(POLYS[window]), q
@@ -109,6 +112,67 @@ def test_exact_div_matches_exquo(inputs):
         got = p.exact_div(q)
         assert to_sympy(got) == want
         assert got * q == p
+
+
+def grlex_key(mono):
+    return sum(mono), mono
+
+
+def passes_the_screen(p, q):
+    """Whether q's leading and lowest terms divide p's, the test that
+    exact_div makes before it divides."""
+    return all(
+        all(a <= b for a, b in zip(pick(q.terms, key=grlex_key), pick(p.terms, key=grlex_key)))
+        for pick in (max, min)
+    )
+
+
+@st.composite
+def screened_linear_inputs(draw):
+    """q*s + m for a form q of degree 1 and a monomial m, which q cannot
+    divide, so the sum is not divisible; kept when it passes the screen."""
+    window = draw(WINDOW)
+    q = draw(FORMS[window])
+    p = q * draw(SMALL[window]) + draw(MONOMIALS[window])
+    assume(p and passes_the_screen(p, q))
+    return p, q
+
+
+@PROPERTY
+@given(screened_linear_inputs())
+def test_linear_division_past_the_screen_matches_exquo(inputs):
+    p, q = inputs
+    with pytest.raises(ExactQuotientFailed):
+        to_sympy(p).exquo(to_sympy(q))
+    with pytest.raises(NotDivisibleError):
+        p.exact_div(q)
+
+
+# (dividend factor s, divisor q, extra term m): every q has degree 1
+LINEAR_CASES = [
+    # led by h: only h and a constant
+    ({(1, 0, 0): 1, (0, 0, 2): 1}, {(0, 0, 1): 2, (0, 0, 0): 3}, {(0, 1, 1): 1}),
+    # t_i - t_j + 1: a constant term
+    ({(2, 0, 1): 3, (0, 1, 0): -1, (0, 0, 0): 5}, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): 1}, {(1, 0, 1): 2}),
+    # a Fraction leading coefficient
+    ({(1, 1, 0): Fraction(2, 3), (0, 0, 3): 1}, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 3, (0, 0, 1): -1}, {(1, 0, 2): 7}),
+    # v = t2, not the first variable, with h in rest
+    ({(0, 3, 0): 1, (0, 1, 2): -2}, {(0, 1, 0): -1, (0, 0, 1): 4}, {(0, 1, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("case", LINEAR_CASES)
+def test_linear_division_cases_match_exquo(case):
+    s, q, m = (MultiPoly(2, d) for d in case)
+    assert q.degree() == 1
+    exact = s * q
+    assert to_sympy(exact.exact_div(q)) == to_sympy(exact).exquo(to_sympy(q)) == to_sympy(s)
+    p = exact + m
+    assert passes_the_screen(p, q)
+    with pytest.raises(ExactQuotientFailed):
+        to_sympy(p).exquo(to_sympy(q))
+    with pytest.raises(NotDivisibleError):
+        p.exact_div(q)
 
 
 def sympy_str(P, window):
@@ -165,10 +229,7 @@ def ring_maps(draw):
     return draw(SMALL[source]), RingMap(source, target, images)
 
 
-@PROPERTY
-@given(ring_maps())
-def test_ring_map_matches_compose(inputs):
-    p, phi = inputs
+def assert_matches_compose(phi, p):
     # one ring holds both: s1..sS for the source, t1..tT and h for the target
     both = ring(names(phi.source, "s")[:-1] + names(phi.target), QQ, grlex)
     R, gens = both[0], both[1:]
@@ -180,6 +241,38 @@ def test_ring_map_matches_compose(inputs):
 
     want = P.compose([(gens[i], lift(im)) for i, im in enumerate(phi.images)])
     assert lift(phi(p)) == want
+
+
+@PROPERTY
+@given(ring_maps())
+def test_ring_map_matches_compose(inputs):
+    p, phi = inputs
+    assert_matches_compose(phi, p)
+
+
+@st.composite
+def shared_monomial_inputs(draw):
+    """Images of a map and a few polynomials drawn from one small pool of
+    monomials, so that they share most of their monomials."""
+    source = draw(WINDOW)
+    target = draw(WINDOW)
+    images = [draw(LINEAR[target]) for _ in range(source)]
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * (source + 1)), min_size=1, max_size=6, unique=True))
+    poly = st.dictionaries(st.sampled_from(pool), COEFS, max_size=len(pool)).map(lambda d: MultiPoly(source, d))
+    return source, target, images, draw(st.lists(poly, min_size=2, max_size=4))
+
+
+@PROPERTY
+@given(shared_monomial_inputs())
+def test_one_ring_map_on_polynomials_that_share_monomials(inputs):
+    # a map keeps the image of each monomial it has seen, so the later
+    # polynomials read images stored for the earlier ones; each order of
+    # the same polynomials, through a fresh map, must give the same results
+    source, target, images, polys = inputs
+    for order in (polys, polys[::-1]):
+        phi = RingMap(source, target, images)
+        for p in order + order[:1]:
+            assert_matches_compose(phi, p)
 
 
 @st.composite

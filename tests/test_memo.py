@@ -231,6 +231,14 @@ def test_shared_values_refuse_assignment():
     with pytest.raises(AttributeError, match="Character is read-only"):
         ch.weights = ()
     assert ch.weights
+    # a grid entry is shared by every later caller of stab_grid(d, z)
+    entry = stab_grid(d, z)[("0110", "0110")]
+    with pytest.raises(AttributeError):
+        entry.window = 5
+    with pytest.raises(AttributeError):
+        del entry.window
+    assert stab_grid(d, z)[("0110", "0110")].window == d.N == 2
+    assert entry + MultiPoly.one(2) - MultiPoly.one(2) == entry
     assert check_orthogonality(d, z) == []
 
 

@@ -155,6 +155,25 @@ def test_bruhat_order_is_the_subword_property_on_s4():
             assert bruhat_leq(u, w) == (u in below), (str(u), str(w))
 
 
+def test_products_and_inverses_equal_the_checked_construction():
+    # __mul__ and inverse() build their results without the check that
+    # Permutation(...) runs; on S4 they equal the checked construction
+    perms = [Permutation(ol) for ol in iter_perms(range(1, 5))]
+    for u in perms:
+        inv = u.inverse()
+        assert type(inv) is Permutation and inv == Permutation(inv.one_line)
+        assert inv.n == 4 and inv.inverse() is u and (u * inv).length() == 0
+        for w in perms:
+            prod = u * w
+            assert prod == Permutation(tuple(u(w(i)) for i in range(1, 5)))
+            assert prod.n == 4 and prod.length() == len(prod.inversions())
+    for value in (u * w, u.inverse()):
+        with pytest.raises(AttributeError, match="Permutation is read-only"):
+            value.one_line = (1, 2, 3, 4)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 1, 3))
+
+
 def test_min_reps():
     r = Composition((2, 2, 1))
     w = W("25143")

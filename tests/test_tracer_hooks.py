@@ -39,7 +39,9 @@ def test_tracer_installs_and_uninstalls_cleanly():
             ("bowcalc.exactalg", "factor_s_forms"),
             ("bowcalc.stabloc", "restrict_taut"),
             ("LocalizedScalar", "_reduce"),
+            ("MultiPoly", "__mul__"),
             ("MultiPoly", "exact_div"),
+            ("RingMap", "__call__"),
         ):
             assert during[owner][name] is not before[owner][name]
     finally:
