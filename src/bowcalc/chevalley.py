@@ -29,6 +29,7 @@ from .exactalg import (
     RingMap,
     _cancel_forms,
     factor_s_forms,
+    sum_of_products,
 )
 from .memo import ReadOnly, memo
 from .permcalc import Composition, Permutation, tilde_w
@@ -206,13 +207,12 @@ class CMMatrix(ReadOnly):
 
     def compose(self, other):
         """Matrix product (entries are polynomials)."""
-        entries = {}
+        pairs = {}
         for (i, k), a in self.entries.items():
             for (k2, j), b in other.entries.items():
                 if k == k2:
-                    key = (i, j)
-                    cur = entries.get(key)
-                    entries[key] = a * b if cur is None else cur + a * b
+                    pairs.setdefault((i, j), []).append((a, b))
+        entries = {key: sum_of_products(group, self.diagram.N) for key, group in pairs.items()}
         return CMMatrix(self.diagram, self.chamber, self.bundle, self.basis, entries)
 
     def to_json(self):
@@ -259,12 +259,12 @@ def cm_matrix_oracle(diagram, z, j):
     entries = {}
     for T in TopologicalSorter(above).static_order():
         for D in basis:
-            rhs = MultiPoly.zero(diagram.N)
-            for X in above[T]:
-                c = entries[(X, D)] - chern[T] if X == D else entries[(X, D)]
-                if not c.is_zero():
-                    rhs = rhs - grid[(T, X)] * c
-            entries[(T, D)] = rhs.exact_div(grid[(T, T)])
+            known = sum_of_products(
+                ((grid[(T, X)], entries[(X, D)] - chern[T] if X == D else entries[(X, D)])
+                 for X in above[T]),
+                diagram.N,
+            )
+            entries[(T, D)] = -known.exact_div(grid[(T, T)])
         entries[(T, T)] = entries[(T, T)] + chern[T]
     return CMMatrix(diagram, z, j, basis, entries)
 
@@ -353,12 +353,11 @@ def check_congruence(diagram):
             i1, i2, j1, j2 = move
             pkey = Dp.key()
             sgn = move_sign(D.bct, move)
-            lhs = MultiPoly.linear(N, {j1: 1, j2: -1}) * grid[(pkey, key)]
-            rhs = MultiPoly.h(N) * sgn * grid[(pkey, pkey)]
-            if (lhs - rhs).h_valuation() < 2:
-                failures.append(
-                    {"arg": key, "eval": pkey, "move": move, "delta": str(lhs - rhs)}
-                )
+            move_form = MultiPoly.linear(N, {j1: 1, j2: -1})
+            pairs = ((move_form, grid[(pkey, key)]), (MultiPoly.h(N) * -sgn, grid[(pkey, pkey)]))
+            delta = sum_of_products(pairs, N)
+            if delta.h_valuation() < 2:
+                failures.append({"arg": key, "eval": pkey, "move": move, "delta": str(delta)})
     return failures
 
 

@@ -286,26 +286,7 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check(other)
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return MultiPoly.zero(self._window)
-        # the largest key of the product is the sum of the largest keys
-        if (max(a) + max(b)) >> FIELD * (self._window + 1) >= DEGREE_LIMIT:
-            raise OverflowError("product degree reaches the limit %d" % DEGREE_LIMIT)
-        b = tuple(b.items())
-        prod = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b:
-                mono = m1 + m2
-                s = prod.get(mono, 0) + c1 * c2
-                if s:
-                    prod[mono] = s
-                else:
-                    del prod[mono]
-        return MultiPoly._raw(self._window, prod)
+        return sum_of_products(((self, other),), self._window)
 
     __rmul__ = __mul__
 
@@ -540,6 +521,35 @@ def poly_product(polys, window):
     return reduce(lambda a, b: a * b, polys, MultiPoly.one(window))
 
 
+def sum_of_products(pairs, window):
+    """Sum of p*q over an iterable of (p, q) MultiPoly pairs in ``window``:
+    every term product goes into one table and one polynomial is built at
+    the end, so no partial sum is copied.  Raises where ``p * q`` would."""
+    shift = _degree_shift(window)
+    acc = {}
+    for p, q in pairs:
+        if not p._window == q._window == window:
+            raise WindowMismatchError("window mismatch: %d, %d vs %d" % (p._window, q._window, window))
+        a, b = p._terms, q._terms
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            continue
+        # the largest key of the product is the sum of the largest keys
+        if (max(a) + max(b)) >> shift >= DEGREE_LIMIT:
+            raise OverflowError("product degree reaches the limit %d" % DEGREE_LIMIT)
+        b = tuple(b.items())
+        for m1, c1 in a.items():
+            for m2, c2 in b:
+                mono = m1 + m2
+                s = acc.get(mono, 0) + c1 * c2
+                if s:
+                    acc[mono] = s
+                else:
+                    del acc[mono]
+    return MultiPoly._raw(window, acc)
+
+
 class LinearForm(namedtuple("LinearForm", "i j m")):
     """The form t_i - t_j + m*h with i < j (an element of the set S).
 
@@ -695,17 +705,15 @@ class LocalizedScalar(ReadOnly):
         mine = Counter(self.denoms)
         theirs = Counter(other.denoms)
         common = mine & theirs
-        a = self.num * poly_product(
-            [f.as_poly(self.window) for f in (theirs - common).elements()], self.window
-        )
-        b = other.num * poly_product(
-            [f.as_poly(self.window) for f in (mine - common).elements()], self.window
-        )
+        window = self.window
+        a = poly_product([f.as_poly(window) for f in (theirs - common).elements()], window)
+        b = poly_product([f.as_poly(window) for f in (mine - common).elements()], window)
+        num = sum_of_products(((self.num, a), (other.num, b)), window)
         # both operands are reduced, so a form whose multiplicities differ
-        # divides exactly one of a and b and cannot divide a + b: only the
-        # forms of equal multiplicity are tried
+        # divides exactly one of the two products and cannot divide their
+        # sum: only the forms of equal multiplicity are tried
         even = Counter({f: k for f, k in common.items() if mine[f] == theirs[f]})
-        num, kept = _cancel_forms(a + b, sorted(even.elements()))
+        num, kept = _cancel_forms(num, sorted(even.elements()))
         denoms = (mine | theirs) - even
         return LocalizedScalar(num, list(denoms.elements()) + list(kept), reduce_now=False)
 
@@ -889,10 +897,8 @@ class Character(ReadOnly):
 
     def weight_sum(self):
         """First Chern class: the sum of all weights as a polynomial."""
-        out = MultiPoly.zero(self.window)
-        for w, mult in Counter(self.weights).items():
-            out = out + self._poly(w) * mult
-        return out
+        one = MultiPoly.one(self.window)
+        return sum_of_products(((self._poly(w), one) for w in self.weights), self.window)
 
     def split_by_chamber(self, z):
         """Split into (positive, negative) parts for the chamber z^-1 . C_-.

@@ -12,7 +12,7 @@ that make fully separated permutations rigid.
 
 from itertools import permutations as iter_permutations
 
-from .exactalg import MultiPoly, WindowMismatchError
+from .exactalg import MultiPoly, WindowMismatchError, sum_of_products
 from .memo import ReadOnly
 
 
@@ -254,6 +254,8 @@ def subword_sums(word, n, targets, distances=None):
     subwords give 0.
     """
     targets = list(targets)
+    if not targets:
+        return {}
     if distances is None:
         distances = {}
     betas = beta_sequence(n, list(word))
@@ -264,30 +266,19 @@ def subword_sums(word, n, targets, distances=None):
         remaining = l - pos - 1
         bp = beta_poly(n, beta)
         s = Permutation.simple(n, a)
+        # each next state's (value, factor) pairs, summed once it is kept
         nxt = {}
         for sigma, val in states.items():
-            skip = val * h
-            if sigma in nxt:
-                nxt[sigma] = nxt[sigma] + skip
-            else:
-                nxt[sigma] = skip
-            tau = sigma * s
-            take = val * bp
-            if tau in nxt:
-                nxt[tau] = nxt[tau] + take
-            else:
-                nxt[tau] = take
-        if remaining:
-            states = {}
-            for sigma, val in nxt.items():
-                dist = distances.get(sigma)
-                if dist is None:
-                    inv = sigma.inverse()
-                    dist = distances[sigma] = min((inv * t).length() for t in targets)
-                if dist <= remaining:
-                    states[sigma] = val
-        else:
-            states = nxt
+            nxt.setdefault(sigma, []).append((val, h))
+            nxt.setdefault(sigma * s, []).append((val, bp))
+        states = {}
+        for sigma, pairs in nxt.items():
+            dist = distances.get(sigma)
+            if dist is None:
+                inv = sigma.inverse()
+                dist = distances[sigma] = min((inv * t).length() for t in targets)
+            if dist <= remaining:
+                states[sigma] = sum_of_products(pairs, n)
     zero = MultiPoly.zero(n)
     return {t: states.get(t, zero) for t in targets}
 

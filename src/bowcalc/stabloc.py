@@ -38,6 +38,7 @@ from .exactalg import (
     LocalizedScalar,
     MultiPoly,
     RingMap,
+    sum_of_products,
 )
 from .memo import memo
 from .permcalc import (
@@ -193,25 +194,24 @@ def _coset_sums(delta, ws, targets):
     subword sums share the targets, hence one table of pruning distances.
     """
     n = delta.total
-    zero = MultiPoly.zero(n)
     distances = {}
     for w in ws:
         _, forms = _block_root_denominator(delta, w)
-        acc = dict.fromkeys(targets, zero)
+        pairs = {tgt: [] for tgt in targets}
         for v in young_elements(delta):
             z = w * v
             word = reduced_word(z)
             sums = subword_sums(word, n, targets, distances)
             prefac = None
-            for tgt in acc:
+            for tgt, group in pairs.items():
                 num = sums[tgt]
                 if num.is_zero():
                     continue
                 if prefac is None:
                     dsgn, _ = _block_root_denominator(delta, z)
                     prefac = loop_free_prefactor(n, word) * dsgn
-                acc[tgt] = acc[tgt] + prefac * num
-        yield {tgt: LocalizedScalar(num, forms) for tgt, num in acc.items()}
+                group.append((prefac, num))
+        yield {tgt: LocalizedScalar(sum_of_products(group, n), forms) for tgt, group in pairs.items()}
 
 
 def stab_partial_flag(delta, w, w_prime):

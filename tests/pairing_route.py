@@ -6,12 +6,14 @@ the sum over fixed points T of the reduced summands
 Stab(D)|_T * Stab_op(D')|_T / e(T_T), each times c_1(xi_j)|_T.  This is
 independent of the triangular solve in ``cm_matrix_oracle``, which never
 pairs, never divides by a tangent class and never reads the opposite grid.
+The same orthogonality is also checked with every tangent class multiplied
+out, with no division at all.
 """
 
 from bowcalc.chevalley import CMMatrix, _pairing_terms
 from bowcalc.diagrams import _fixed_points
-from bowcalc.exactalg import LocalizedScalar, MultiPoly
-from bowcalc.stabloc import _chern_table
+from bowcalc.exactalg import LocalizedScalar, MultiPoly, sum_of_products
+from bowcalc.stabloc import _chern_table, opposite_chamber, stab_grid, tangent_euler
 
 
 def cm_matrix_pairing(diagram, z, j, pair_terms=None):
@@ -53,3 +55,20 @@ def direct_gram(diagram, z):
             total = total + scalar
         out[pair] = total
     return out
+
+
+def division_free_orthogonality_failures(diagram, z):
+    """The orthogonality of the chamber-z and opposite-chamber bases with
+    the tangent classes multiplied out, so that nothing is divided:
+    sum over D of Stab_z(D)|_T * Stab_-z(D)|_T' is e(T) when T == T' and 0
+    otherwise.  Returns the (T key, T' key) pairs where it fails."""
+    points = _fixed_points(diagram)
+    keys = list(points)
+    grid, grid_op = stab_grid(diagram, z), stab_grid(diagram, opposite_chamber(z))
+    failures = []
+    for tk in keys:
+        for tpk in keys:
+            got = sum_of_products(((grid[(tk, dk)], grid_op[(tpk, dk)]) for dk in keys), diagram.N)
+            if got != (tangent_euler(diagram, z, points[tk]) if tk == tpk else 0):
+                failures.append((tk, tpk))
+    return failures

@@ -46,7 +46,7 @@ from bowcalc.stabloc import (
     stab_restriction,
     stab_tilde_antidominant,
 )
-from pairing_route import cm_matrix_pairing, direct_gram
+from pairing_route import cm_matrix_pairing, direct_gram, division_free_orthogonality_failures
 
 W = Permutation.parse
 
@@ -239,6 +239,15 @@ def test_criterion_6_orthogonality():
             failures = check_orthogonality(d, z)
             assert not failures, (d.format(), str(z), failures[:3])
     report(6, "orthogonality of opposite-chamber bases on the full family")
+
+
+def test_division_free_orthogonality():
+    # criterion 6 with the tangent classes multiplied out, in the same chambers
+    for d in family():
+        z_random = random_chamber(d.N, seed=1729 + d.N)
+        for z in (Permutation.identity(d.N), z_random):
+            failures = division_free_orthogonality_failures(d, z)
+            assert not failures, (d.format(), str(z), failures[:3])
 
 
 def test_criterion_7_cm_equals_oracle():

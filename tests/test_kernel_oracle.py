@@ -19,7 +19,14 @@ from sympy.polys.orderings import grlex
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from bowcalc.exactalg import MultiPoly, NotDivisibleError, RingMap
+from bowcalc.exactalg import (
+    DEGREE_LIMIT,
+    MultiPoly,
+    NotDivisibleError,
+    RingMap,
+    WindowMismatchError,
+    sum_of_products,
+)
 from bowcalc.permcalc import Permutation
 from test_localized_oracle import PROPERTY
 
@@ -84,6 +91,84 @@ def test_ring_operations_match_sympy(pair):
     assert to_sympy(a - b) == A - B
     assert to_sympy(-a) == -A
     assert (a == b) == (A == B)
+
+
+@st.composite
+def product_lists(draw):
+    """(window, pairs): 0-5 pairs of one window.  A pair may have a zero
+    factor, or be followed by (q, -p), whose product cancels its own."""
+    window = draw(WINDOW)
+    zero = MultiPoly.zero(window)
+    size = draw(st.integers(0, 5))
+    pairs = []
+    while len(pairs) < size:
+        p, q = draw(POLYS[window]), draw(SMALL[window])
+        kind = draw(st.sampled_from(("plain", "zero left", "zero right", "cancel")))
+        if kind == "zero left":
+            p = zero
+        elif kind == "zero right":
+            q = zero
+        pairs.append((p, q))
+        if kind == "cancel" and len(pairs) < size:
+            pairs.append((q, -p))
+    return window, pairs
+
+
+@PROPERTY
+@given(product_lists())
+def test_sum_of_products_matches_sympy(inputs):
+    window, pairs = inputs
+    want = sum((to_sympy(p) * to_sympy(q) for p, q in pairs), sympy_ring(window).zero)
+    got = sum_of_products(iter(pairs), window)
+    assert got.window == window
+    assert to_sympy(got) == want
+    assert all(got.terms.values())
+    assert got.is_zero() == (not want)
+
+
+@PROPERTY
+@given(product_lists(), st.integers(0, 5), BOOLS)
+def test_sum_of_products_refuses_mixed_windows(inputs, at, left):
+    window, pairs = inputs
+    other = window % 6 + 1  # another window of WINDOWS
+    stranger = (MultiPoly.one(other), MultiPoly.h(window))
+    if left:
+        stranger = stranger[::-1]
+    with pytest.raises(WindowMismatchError):
+        stranger[0] * stranger[1]
+    with pytest.raises(WindowMismatchError):
+        sum_of_products(pairs[:at] + [stranger] + pairs[at:], window)
+    if pairs:
+        with pytest.raises(WindowMismatchError):
+            sum_of_products(pairs, other)
+
+
+@PROPERTY
+@given(product_lists(), st.integers(0, 5), BOOLS)
+def test_sum_of_products_overflows_where_mul_does(inputs, at, left):
+    window, pairs = inputs
+    q = pairs[0][1] if pairs and pairs[0][1].degree() > 0 else MultiPoly.h(window)
+
+    def inserted(degree):
+        """A pair of q and a power of t1 whose product has total degree
+        ``degree``, and the pairs with it inserted at ``at``."""
+        top = MultiPoly(window, {(degree - q.degree(),) + (0,) * window: 3})
+        pair = (top, q) if left else (q, top)
+        return pair, pairs[:at] + [pair] + pairs[at:]
+
+    pair, with_pair = inserted(DEGREE_LIMIT)
+    with pytest.raises(OverflowError):
+        pair[0] * pair[1]
+    with pytest.raises(OverflowError):
+        sum_of_products(with_pair, window)
+    pair, with_pair = inserted(DEGREE_LIMIT - 1)
+    assert sum_of_products(with_pair, window) == sum_of_products(pairs, window) + pair[0] * pair[1]
+    # a zero factor adds nothing and raises nothing, however large the other
+    zero = MultiPoly.zero(window)
+    big = MultiPoly(window, {(DEGREE_LIMIT - 1,) + (0,) * window: 1})
+    assert (big * zero).is_zero() and (zero * big).is_zero()
+    padded = pairs[:at] + [(big, zero), (zero, big)] + pairs[at:]
+    assert sum_of_products(padded, window) == sum_of_products(pairs, window)
 
 
 @st.composite

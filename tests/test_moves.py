@@ -1,8 +1,8 @@
 """The twisted simple moves of the identity chamber are the plain simple moves
 whose rows straddle the interval, each with its move sign; on random admissible
 diagrams, every move lands on the fixed-point table's own tie diagram, and on
-the small ones the formula matches the oracle, the matrices commute and
-``verify`` passes."""
+the small ones the formula matches the oracle, the matrices commute,
+``verify`` passes and the division-free orthogonality holds."""
 
 import random
 from itertools import combinations, product
@@ -27,6 +27,7 @@ from bowcalc.diagrams import (
 )
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import opposite_chamber
+from pairing_route import division_free_orthogonality_failures
 from test_localized_oracle import PROPERTY
 
 
@@ -121,3 +122,4 @@ def test_moves_on_random_admissible_diagrams(drawn):
         a, b = cm_matrix(d, z, i), cm_matrix(d, z, j)
         assert not (a.compose(b) - b.compose(a)).entries, (d.format(), str(z), i, j)
     assert verify(d)["ok"], d.format()
+    assert not division_free_orthogonality_failures(d, z), (d.format(), str(z))

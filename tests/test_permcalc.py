@@ -357,6 +357,7 @@ def test_pruned_subword_sums_equal_brute_force(inputs):
     n, words, targets = inputs
     for word in words:
         assert subword_sums(word, n, targets) == brute_subword_sums(word, n, targets)
+        assert subword_sums(word, n, []) == {}
 
 
 @PROPERTY
