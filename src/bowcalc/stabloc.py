@@ -15,7 +15,9 @@ The stable basis values are computed by a resolution pipeline:
    pushed through the dimension-collapsing substitution and divided by a pure
    h normalization factor.  The coset elements share their root forms up to
    sign, so each coset sum is one polynomial numerator divided once by those
-   forms.
+   forms.  The prefactor factors alpha + h common to the whole coset stay
+   out of that numerator; they are pushed through the substitution once per
+   coset and multiplied back after it.
 
 All results are exact polynomials in Q[t_1..t_N, h].
 """
@@ -38,6 +40,7 @@ from .exactalg import (
     LocalizedScalar,
     MultiPoly,
     RingMap,
+    poly_product,
     sum_of_products,
 )
 from .memo import memo
@@ -143,16 +146,22 @@ def _chern_table(diagram, i):
 # -- localization formula for cotangent bundles of flag varieties -------------
 
 
+def _loop_free_roots(n, word):
+    """The positive roots (a, b), a < b, that are not among the betas of
+    ``word``, in lexicographic order."""
+    betas = set(beta_sequence(n, word))
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if (a, b) not in betas]
+
+
+def _root_product(n, roots):
+    """Product of (alpha + h) over the given positive roots alpha."""
+    h = MultiPoly.h(n)
+    return poly_product([beta_poly(n, root) + h for root in roots], n)
+
+
 def loop_free_prefactor(n, word):
     """Product of (alpha + h) over positive roots alpha not among the betas."""
-    betas = set(beta_sequence(n, word))
-    out = MultiPoly.one(n)
-    h = MultiPoly.h(n)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if (a, b) not in betas:
-                out = out * (beta_poly(n, (a, b)) + h)
-    return out
+    return _root_product(n, _loop_free_roots(n, word))
 
 
 def stab_full_flag(n, w, w_prime, word=None):
@@ -183,35 +192,48 @@ def _block_root_denominator(delta, z):
 
 
 def _coset_sums(delta, ws, targets):
-    """The localization sums over the cosets w S_delta, one dict per w of
-    ``ws``, for every target permutation w' at once: {w': sum over v of
-    prefactor(wv) * subword sum(wv, w') / prod((wv).alpha)} as
-    LocalizedScalars.
+    """The localization sums over the cosets w S_delta, for every target
+    permutation w' at once: one pair (common, sums) per w of ``ws``, where
+    common is the product of (alpha + h) over the common roots and sums is
+    {w': sum over v of prefactor(wv) * subword sum(wv, w') /
+    prod((wv).alpha)} divided by common, as LocalizedScalars.
 
     v permutes each delta block, so the forms (wv).alpha over the roots
     inside the blocks are those of w for every v, up to the sign dsgn: the
-    numerators are summed as polynomials and divided once per (w, w').  All
-    subword sums share the targets, hence one table of pruning distances.
+    numerators are summed as polynomials and divided once per (w, w').  The
+    common roots are the positive roots that are betas of no wv; their
+    factors (alpha + h) divide every prefactor(wv), so each summand carries
+    only its few extra factors.  Dropping the common part keeps the
+    certificate: a block form t_a - t_b has no h term, so it is a prime not
+    associate to any alpha + h, and prod(forms) divides the full sum exactly
+    when it divides the sum without the common part.  The caller multiplies
+    the common part back into the polynomial.  All subword sums share the
+    targets, hence one table of pruning distances.
     """
     n = delta.total
     distances = {}
     for w in ws:
         _, forms = _block_root_denominator(delta, w)
-        pairs = {tgt: [] for tgt in targets}
+        coset = []
         for v in young_elements(delta):
             z = w * v
             word = reduced_word(z)
+            coset.append((z, word, _loop_free_roots(n, word)))
+        common = set.intersection(*(set(roots) for _, _, roots in coset))
+        pairs = {tgt: [] for tgt in targets}
+        for z, word, roots in coset:
             sums = subword_sums(word, n, targets, distances)
-            prefac = None
+            extra = None
             for tgt, group in pairs.items():
                 num = sums[tgt]
                 if num.is_zero():
                     continue
-                if prefac is None:
+                if extra is None:
                     dsgn, _ = _block_root_denominator(delta, z)
-                    prefac = loop_free_prefactor(n, word) * dsgn
-                group.append((prefac, num))
-        yield {tgt: LocalizedScalar(sum_of_products(group, n), forms) for tgt, group in pairs.items()}
+                    extra = _root_product(n, [r for r in roots if r not in common]) * dsgn
+                group.append((extra, num))
+        sums = {tgt: LocalizedScalar(sum_of_products(group, n), forms) for tgt, group in pairs.items()}
+        yield _root_product(n, sorted(common)), sums
 
 
 def stab_partial_flag(delta, w, w_prime):
@@ -224,8 +246,8 @@ def stab_partial_flag(delta, w, w_prime):
     if not isinstance(delta, Composition):
         delta = Composition(delta)
     sign = -1 if (coset_length(w_prime, delta) + w_prime.length()) % 2 else 1
-    (sums,) = _coset_sums(delta, [w], [w_prime])
-    return (sums[w_prime] * sign).to_poly()
+    ((common, sums),) = _coset_sums(delta, [w], [w_prime])
+    return (sums[w_prime] * sign).to_poly() * common
 
 
 # -- resolution pipeline -------------------------------------------------------
@@ -276,11 +298,13 @@ def stab_tilde_grid(diagram):
     psi = psi_map(diagram)
     ws = (w_distinguished(A, comp_r, comp_c) for A in bcts)
     grid = {}
-    for A, sums in zip(bcts, _coset_sums(comp_r, ws, target_perms)):
+    for A, (common, sums) in zip(bcts, _coset_sums(comp_r, ws, target_perms)):
         ekey = bct_key(A)
+        # psi is a ring map: the common part is mapped once per coset
+        shared = psi(common)
         for akey, tgt in targets.items():
             poly = sums[tgt].to_poly()  # Polynomiality is a theorem; failure is a bug.
-            grid[(ekey, akey)] = psi(poly).exact_div(norm)
+            grid[(ekey, akey)] = (psi(poly) * shared).exact_div(norm)
     return grid
 
 

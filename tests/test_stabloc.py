@@ -3,9 +3,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bowcalc import stabloc
 from bowcalc.diagrams import (
     BraneDiagram,
     TieDiagram,
@@ -14,18 +15,30 @@ from bowcalc.diagrams import (
     flag_diagram,
     flag_tie,
 )
-from bowcalc.exactalg import MultiPoly, RingMap, factor_s_forms
+from bowcalc.exactalg import (
+    LocalizedScalar,
+    MultiPoly,
+    NonPolynomialError,
+    RingMap,
+    factor_s_forms,
+)
 from bowcalc.permcalc import (
     Composition,
     Permutation,
     beta_poly,
     beta_sequence,
+    coset_length,
     reduced_word,
+    subword_sum,
     young_elements,
 )
 from bowcalc.stabloc import (
     _block_root_denominator,
+    _coset_sums,
+    _loop_free_roots,
+    _root_product,
     chargeless_euler,
+    loop_free_prefactor,
     n_euler,
     opposite_chamber,
     psi_map,
@@ -398,6 +411,92 @@ def test_block_forms_are_the_same_on_a_young_coset(inputs):
         sgn_v, forms_v = _block_root_denominator(delta, w * v)
         assert sorted(forms_v) == sorted(forms)
         assert sgn_v == sgn * (-1) ** v.length()
+
+
+def _loop_free_reference(n, z):
+    """The positive roots that are not betas of a reduced word of z, read
+    off z^-1: (a, b) is a beta exactly when z^-1 reverses it."""
+    zi = z.inverse()
+    return {(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if zi(a) < zi(b)}
+
+
+# half the usual examples: the reference expands every full prefactor, up to
+# 15 linear factors in 7 variables, and takes most of the test's time
+@settings(PROPERTY, max_examples=100)
+@given(compositions_and_perms(), st.data())
+def test_partial_flag_equals_the_full_prefactor_route(inputs, data):
+    # the coset sum with every full prefactor multiplied in, divided once by
+    # w's forms, is what stab_partial_flag returns with the common part
+    # factored out of the sum and multiplied back after the division
+    delta, w = inputs
+    n = delta.total
+    wp = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    sign = -1 if (coset_length(wp, delta) + wp.length()) % 2 else 1
+    _, forms = _block_root_denominator(delta, w)
+    ((shared, _),) = _coset_sums(delta, [w], [])
+    roots = {v: _loop_free_reference(n, w * v) for v in young_elements(delta)}
+    common = set.intersection(*roots.values())
+    assert shared == _root_product(n, sorted(common))
+    total = MultiPoly.zero(n)
+    for v, rts in roots.items():
+        dsgn, _ = _block_root_denominator(delta, w * v)
+        word = reduced_word(w * v)
+        prefactor = loop_free_prefactor(n, word)
+        assert set(_loop_free_roots(n, word)) == rts
+        assert shared * _root_product(n, sorted(rts - common)) == prefactor
+        total = total + prefactor * subword_sum(word, n, wp) * dsgn
+    assert stab_partial_flag(delta, w, wp) == LocalizedScalar(total * sign, forms).to_poly()
+
+
+def _perturbed_subword_sums(delta):
+    """subword_sums plus h^l(word) at every target, for the words of the
+    shortest element of each coset z S_delta only: one summand of each coset
+    sum then gains a product of h and of forms alpha + h, which no block
+    form t_a - t_b divides, so no coset sum stays divisible."""
+    real = stabloc.subword_sums
+
+    def shortest(word, n):
+        z = Permutation.identity(n)
+        for a in word:
+            z = z * Permutation.simple(n, a)
+        return all(z(p) < z(p + 1) for k in range(1, len(delta) + 1) for p in list(delta.block(k))[:-1])
+
+    def fake(word, n, targets, distances=None):
+        sums = real(word, n, targets, distances)
+        if shortest(word, n):
+            bump = MultiPoly.h(n) ** len(word)
+            sums = {tgt: value + bump for tgt, value in sums.items()}
+        return sums
+
+    return fake
+
+
+def test_perturbed_coset_sums_are_refused(monkeypatch):
+    # the polynomiality certificate still runs on every coset sum: a sum
+    # that the block forms do not divide raises instead of giving a value
+    delta = Composition((2, 2, 1))
+    monkeypatch.setattr(stabloc, "subword_sums", _perturbed_subword_sums(delta))
+    with pytest.raises(NonPolynomialError):
+        stab_partial_flag(delta, W("25143"), W("52314"))
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    monkeypatch.setattr(stabloc, "subword_sums", _perturbed_subword_sums(Composition(d.margins().r)))
+    with pytest.raises(NonPolynomialError):
+        stab_tilde_grid.__wrapped__(d)
+
+
+def test_coset_of_size_24_has_s_form_diagonals():
+    # 0\2/2/4\4/4/4\0 separates to 0/1/4/6/8\6\4\0 with n = 8 and
+    # Young cosets of 2! 2! 3! 1! = 24 elements; two fixed points.  Only the
+    # identity chamber: the longest one builds in about 13 s, in the subword
+    # sums, which would push the suite past a minute
+    d = BraneDiagram.parse("0\\2/2/4\\4/4/4\\0")
+    grid = stab_grid(d, Permutation.identity(d.N))
+    for key in {e for e, _ in grid}:
+        const, hpow, forms = factor_s_forms(grid[(key, key)])
+        rebuilt = MultiPoly.const(const, d.N) * H(d.N) ** hpow
+        for f in forms:
+            rebuilt = rebuilt * f.as_poly(d.N)
+        assert rebuilt == grid[(key, key)]
 
 
 # SHA-256 of the sorted lines "eval|arg=value" of stab_tilde_grid on the three
