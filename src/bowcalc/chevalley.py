@@ -75,18 +75,18 @@ def _tangent_summands(a, rows, tangent):
     anything is multiplied.  The forms are linear, hence prime, so this
     cancels exactly the forms that reducing a*b would, while the divisions
     run on the factors instead of on their much larger product.  The h power
-    is divided out of each product.
+    is divided out of each product, and the constant out of a, once.
     """
     const, hpow, forms = tangent
     a, rest = _cancel_forms(a, forms)
     rest = Counter(rest)
-    inv = Fraction(1) / const
+    a = a * (Fraction(1) / const)
     out = []
     for b, profile in rows:
         both = rest & profile
         for form in sorted(both.elements()):
             b = b.exact_div(form.as_poly(b.window))
-        num = a * b * inv
+        num = a * b
         if hpow:
             if num.h_valuation() < hpow:
                 raise NonPolynomialError("tangent h power does not cancel")

@@ -886,14 +886,16 @@ class Character(ReadOnly):
         """The weight w as a linear polynomial."""
         return MultiPoly.linear(self.window, {i + 1: c for i, c in enumerate(w[:-1]) if c}, w[-1])
 
+    def factors(self):
+        """The linear polynomials of all weights (with multiplicity), in the
+        order of ``weights``."""
+        if any(not any(w) for w in self.weights):
+            raise ZeroWeightError("character contains a zero weight")
+        return [self._poly(w) for w in self.weights]
+
     def euler(self):
-        """Product of linear polynomials of all weights (with multiplicity)."""
-        out = MultiPoly.one(self.window)
-        for w, mult in Counter(self.weights).items():
-            if not any(w):
-                raise ZeroWeightError("character contains a zero weight")
-            out = out * self._poly(w) ** mult
-        return out
+        """The product of ``factors()``."""
+        return poly_product(self.factors(), self.window)
 
     def weight_sum(self):
         """First Chern class: the sum of all weights as a polynomial."""

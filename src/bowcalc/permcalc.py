@@ -12,7 +12,7 @@ that make fully separated permutations rigid.
 
 from itertools import permutations as iter_permutations
 
-from .exactalg import MultiPoly, WindowMismatchError, sum_of_products
+from .exactalg import INF, MultiPoly, WindowMismatchError, sum_of_products
 from .memo import ReadOnly
 
 
@@ -240,47 +240,110 @@ def beta_poly(n, beta):
 # -- subword dynamic program ---------------------------------------------
 
 
-def subword_sums(word, n, targets, distances=None):
+def subword_sums(word, n, targets):
     """For each target w', the sum over subwords of ``word`` multiplying to w'
     of h^(l(word)-k) * prod(beta over chosen positions).
 
-    Runs a left-to-right DP whose state is the partial product; skipping a
-    letter multiplies by h, taking it multiplies by its beta and extends the
-    product.  A state sigma is pruned once its distance min_t l(sigma^-1 t)
-    to the targets exceeds the remaining length.  The distance depends only
-    on sigma and the targets, so ``distances`` ({sigma: distance}, filled as
-    states appear) may be shared by every call with the same targets; a call
-    without it uses a dict of its own.  Returns {target: MultiPoly}; absent
-    subwords give 0.
+    The one-word call of ``shared_subword_sums``.  Returns {target:
+    MultiPoly}; absent subwords give 0.
+    """
+    ((_, sums),) = shared_subword_sums([word], n, targets)
+    return sums
+
+
+def shared_subword_sums(words, n, targets):
+    """The subword sums of several reduced words at once, sharing the DP
+    states of their common prefixes.
+
+    A left-to-right DP whose state is the partial product: skipping a letter
+    multiplies by h, taking it multiplies by its beta and extends the
+    product.  It runs depth first over the trie of ``words``, so each node's
+    states serve every word below it, and yields (index, {target:
+    MultiPoly}) for each word as the walk reaches the word's end (a word
+    before the words it is a prefix of).  A chain of single-child nodes is
+    walked in place, so only the states of the branching nodes on the
+    current path stay alive.  A word that is not reduced raises ValueError.
+
+    A state sigma is pruned once its distance min l(sigma^-1 t) exceeds the
+    longest remaining length under its node, the minimum taken over the
+    targets t that sigma can still reach: a subword of the letters left
+    below the node multiplies to an element of the parabolic subgroup they
+    generate, so sigma^-1 t must lie in that subgroup.  The distances are
+    kept once per call.
     """
     targets = list(targets)
-    if not targets:
-        return {}
-    if distances is None:
-        distances = {}
-    betas = beta_sequence(n, list(word))
-    h = MultiPoly.h(n)
-    states = {Permutation.identity(n): MultiPoly.one(n)}
-    l = len(word)
-    for pos, (a, beta) in enumerate(zip(word, betas)):
-        remaining = l - pos - 1
-        bp = beta_poly(n, beta)
-        s = Permutation.simple(n, a)
-        # each next state's (value, factor) pairs, summed once it is kept
-        nxt = {}
-        for sigma, val in states.items():
-            nxt.setdefault(sigma, []).append((val, h))
-            nxt.setdefault(sigma * s, []).append((val, bp))
-        states = {}
-        for sigma, pairs in nxt.items():
-            dist = distances.get(sigma)
-            if dist is None:
-                inv = sigma.inverse()
-                dist = distances[sigma] = min((inv * t).length() for t in targets)
-            if dist <= remaining:
-                states[sigma] = sum_of_products(pairs, n)
-    zero = MultiPoly.zero(n)
-    return {t: states.get(t, zero) for t in targets}
+    # a trie node: [children by letter, indices of the words ending here,
+    # longest remaining length below it, bit mask of the letters below it]
+    root = [{}, [], 0, 0]
+    for index, word in enumerate(words):
+        masks = [0]
+        for a in reversed(word):
+            masks.append(masks[-1] | 1 << a)
+        node = root
+        for depth, a in enumerate(word):
+            node[2] = max(node[2], len(word) - depth)
+            node[3] |= masks[len(word) - depth]
+            node = node[0].setdefault(a, [{}, [], 0, 0])
+        node[1].append(index)
+    h, zero = MultiPoly.h(n), MultiPoly.zero(n)
+    identity = Permutation.identity(n)
+    # {(sigma, mask): distance}, and {mask: {block images: targets}}
+    distances, reachable = {}, {}
+    states = {identity: MultiPoly.one(n)}
+    for index in root[1]:
+        yield index, {t: states.get(t, zero) for t in targets}
+    # steps still to take: (states before the letter, their prefix, letter, node)
+    pending = [(states, identity, a, child) for a, child in reversed(root[0].items())]
+    while pending:
+        states, prefix, a, node = pending.pop()
+        while True:
+            x, y = prefix(a), prefix(a + 1)
+            if x > y:
+                raise ValueError("word is not reduced")
+            s = Permutation.simple(n, a)
+            prefix = prefix * s
+            bp = beta_poly(n, (x, y))
+            # each next state's (value, factor) pairs, summed once it is kept
+            nxt = {}
+            for sigma, val in states.items():
+                nxt.setdefault(sigma, []).append((val, h))
+                nxt.setdefault(sigma * s, []).append((val, bp))
+            states = {}
+            for sigma, pairs in nxt.items():
+                key = (sigma, node[3])
+                dist = distances.get(key)
+                if dist is None:
+                    by_blocks = reachable.get(node[3])
+                    if by_blocks is None:
+                        by_blocks = reachable[node[3]] = {}
+                        for t in targets:
+                            by_blocks.setdefault(_block_images(t, node[3]), []).append(t)
+                    inv = sigma.inverse()
+                    near = by_blocks.get(_block_images(sigma, node[3]), ())
+                    dist = distances[key] = min(((inv * t).length() for t in near), default=INF)
+                if dist <= node[2]:
+                    states[sigma] = sum_of_products(pairs, n)
+            for index in node[1]:
+                yield index, {t: states.get(t, zero) for t in targets}
+            children = node[0]
+            if len(children) != 1:
+                pending.extend((states, prefix, b, child) for b, child in reversed(children.items()))
+                break
+            ((a, node),) = children.items()
+
+
+def _block_images(perm, mask):
+    """The sets perm(B) over the blocks B of 1..n that the letters in
+    ``mask`` join (i and i + 1 share a block when bit i is set).  sigma^-1 t
+    lies in the subgroup those letters generate exactly when sigma and t
+    have the same block images."""
+    images, block = [], []
+    for i, v in enumerate(perm.one_line, start=1):
+        block.append(v)
+        if not mask >> i & 1:
+            images.append(frozenset(block))
+            block = []
+    return tuple(images)
 
 
 def subword_sum(word, n, target):

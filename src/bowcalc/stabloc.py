@@ -6,7 +6,9 @@ The stable basis values are computed by a resolution pipeline:
 1. Hanany-Witten transitions move the diagram to separated form; multiplicities
    transport through each move by the substitution t_{j0} -> t_{j0} + h.
 2. Chargeless lines are dropped; multiplicities pick up the Euler class of the
-   negative part of the constant normal character of the embedding.
+   negative part of the constant normal character of the embedding.  Like the
+   normalization Euler class divided out at the end, it is kept as its list
+   of linear weights and applied one weight at a time, never expanded.
 3. A chamber z^-1.C_- is moved to the antidominant chamber by letting z act on
    the diagram, its ties and the variables.
 4. On a separated essential diagram the normalized antidominant multiplicities
@@ -17,7 +19,10 @@ The stable basis values are computed by a resolution pipeline:
    sign, so each coset sum is one polynomial numerator divided once by those
    forms.  The prefactor factors alpha + h common to the whole coset stay
    out of that numerator; they are pushed through the substitution once per
-   coset and multiplied back after it.
+   coset and multiplied back after it.  The subword sums of every coset
+   element of a grid come from one DP over the trie of their reduced words,
+   written as the coset's shortest element's word followed by a word of
+   the Young subgroup element, so a coset's words share their prefix.
 
 All results are exact polynomials in Q[t_1..t_N, h].
 """
@@ -50,7 +55,9 @@ from .permcalc import (
     beta_poly,
     beta_sequence,
     coset_length,
+    min_rep_left,
     reduced_word,
+    shared_subword_sums,
     subword_sums,
     tilde_w,
     w_distinguished,
@@ -193,10 +200,12 @@ def _block_root_denominator(delta, z):
 
 def _coset_sums(delta, ws, targets):
     """The localization sums over the cosets w S_delta, for every target
-    permutation w' at once: one pair (common, sums) per w of ``ws``, where
-    common is the product of (alpha + h) over the common roots and sums is
-    {w': sum over v of prefactor(wv) * subword sum(wv, w') /
-    prod((wv).alpha)} divided by common, as LocalizedScalars.
+    permutation w' at once: one triple (index, common, sums) per w of
+    ``ws``, where index is w's place in ``ws``, common is the product of
+    (alpha + h) over the common roots and sums is {w': sum over v of
+    prefactor(wv) * subword sum(wv, w') / prod((wv).alpha)} divided by
+    common, as LocalizedScalars.  A triple is yielded as soon as its coset's
+    last subword sum is in, so the order may differ from ``ws``.
 
     v permutes each delta block, so the forms (wv).alpha over the roots
     inside the blocks are those of w for every v, up to the sign dsgn: the
@@ -207,33 +216,49 @@ def _coset_sums(delta, ws, targets):
     certificate: a block form t_a - t_b has no h term, so it is a prime not
     associate to any alpha + h, and prod(forms) divides the full sum exactly
     when it divides the sum without the common part.  The caller multiplies
-    the common part back into the polynomial.  All subword sums share the
-    targets, hence one table of pruning distances.
+    the common part back into the polynomial.
+
+    The subword sums of every coset element come from one call of
+    ``shared_subword_sums``.  Each element is w0 u, with w0 the coset's
+    shortest element and u in S_delta, and l(w0 u) = l(w0) + l(u), so
+    reduced_word(w0) + reduced_word(u) is a reduced word of w0 u: all of a
+    coset's words share w0's word, and the subword sums do not depend on
+    the reduced word chosen.  Each word's sums go into its coset's row as
+    the word ends.
     """
     n = delta.total
-    distances = {}
-    for w in ws:
+    young = [(u, reduced_word(u)) for u in young_elements(delta)]
+    rows, words, owners = [], [], []
+    for index, w in enumerate(ws):
         _, forms = _block_root_denominator(delta, w)
+        w0 = min_rep_left(w, delta)
+        head = reduced_word(w0)
         coset = []
-        for v in young_elements(delta):
-            z = w * v
-            word = reduced_word(z)
-            coset.append((z, word, _loop_free_roots(n, word)))
+        for u, tail in young:
+            word = head + tail
+            coset.append((index, w0 * u, _loop_free_roots(n, word)))
+            words.append(word)
+        owners.extend(coset)
         common = set.intersection(*(set(roots) for _, _, roots in coset))
-        pairs = {tgt: [] for tgt in targets}
-        for z, word, roots in coset:
-            sums = subword_sums(word, n, targets, distances)
-            extra = None
-            for tgt, group in pairs.items():
-                num = sums[tgt]
-                if num.is_zero():
-                    continue
-                if extra is None:
-                    dsgn, _ = _block_root_denominator(delta, z)
-                    extra = _root_product(n, [r for r in roots if r not in common]) * dsgn
-                group.append((extra, num))
-        sums = {tgt: LocalizedScalar(sum_of_products(group, n), forms) for tgt, group in pairs.items()}
-        yield _root_product(n, sorted(common)), sums
+        rows.append((common, forms, {tgt: [] for tgt in targets}))
+    left = [len(young)] * len(rows)
+    for k, sums in shared_subword_sums(words, n, targets):
+        index, z, roots = owners[k]
+        common, forms, pairs = rows[index]
+        extra = None
+        for tgt, group in pairs.items():
+            num = sums[tgt]
+            if num.is_zero():
+                continue
+            if extra is None:
+                dsgn, _ = _block_root_denominator(delta, z)
+                extra = _root_product(n, [r for r in roots if r not in common]) * dsgn
+            group.append((extra, num))
+        left[index] -= 1
+        if not left[index]:
+            rows[index] = None
+            sums = {tgt: LocalizedScalar(sum_of_products(group, n), forms) for tgt, group in pairs.items()}
+            yield index, _root_product(n, sorted(common)), sums
 
 
 def stab_partial_flag(delta, w, w_prime):
@@ -246,7 +271,7 @@ def stab_partial_flag(delta, w, w_prime):
     if not isinstance(delta, Composition):
         delta = Composition(delta)
     sign = -1 if (coset_length(w_prime, delta) + w_prime.length()) % 2 else 1
-    ((common, sums),) = _coset_sums(delta, [w], [w_prime])
+    ((_, common, sums),) = _coset_sums(delta, [w], [w_prime])
     return (sums[w_prime] * sign).to_poly() * common
 
 
@@ -298,8 +323,8 @@ def stab_tilde_grid(diagram):
     psi = psi_map(diagram)
     ws = (w_distinguished(A, comp_r, comp_c) for A in bcts)
     grid = {}
-    for A, (common, sums) in zip(bcts, _coset_sums(comp_r, ws, target_perms)):
-        ekey = bct_key(A)
+    for index, common, sums in _coset_sums(comp_r, ws, target_perms):
+        ekey = bct_key(bcts[index])
         # psi is a ring map: the common part is mapped once per coset
         shared = psi(common)
         for akey, tgt in targets.items():
@@ -386,7 +411,10 @@ def stab_grid(diagram, z, normalized=False):
     Euler class unless ``normalized``.  The three variable substitutions
     (chamber renumbering, essential embedding, h shift) are ring
     homomorphisms, the shift an automorphism, so they are composed into one
-    RingMap applied once per entry, and the Euler classes are mapped alike.
+    RingMap applied once per entry.  Both Euler classes stay lists of linear
+    weights, each mapped alike: an entry is divided exactly by each lifted
+    normalization weight in turn (a linear weight is prime) and multiplied
+    by each chargeless weight, so an empty list costs no pass.
     """
     d = diagram
     if z.n != d.N:
@@ -406,12 +434,12 @@ def stab_grid(diagram, z, normalized=False):
     n_ess = d_ess.N
     z_ess = _standardize([z(k) for k in kept_cols])
     lift = RingMap.renumber(n_ess, N, {j: kept_cols[j - 1] for j in range(1, n_ess + 1)})
-    iota = chargeless_euler(d_sep, z)
+    iota = chargeless_character(d_sep).split_by_chamber(z)[1].factors()
     if moves:
         shift = RingMap.h_shift(N, Counter(j0 for _, j0, _ in moves))
         lift = shift.compose(lift)
-        iota = shift(iota)
-    norm_euler = lift(n_euler(d_ess, z_ess))
+        iota = [shift(w) for w in iota]
+    norm_weights = [lift(w) for w in stack_character(d_ess).split_by_chamber(z_ess)[1].factors()]
 
     # The chamber z_ess of d_ess is read off the antidominant grid of
     # z_ess.d_ess: a fixed point moves with its columns, and the renumbering
@@ -428,8 +456,11 @@ def stab_grid(diagram, z, normalized=False):
         for akey, a in zip(keys, base_keys):
             value = sub(base[(e, a)])
             if not normalized:
-                value = value.exact_div(norm_euler)
-            grid[(ekey, akey)] = value * iota
+                for w in norm_weights:
+                    value = value.exact_div(w)
+            for w in iota:
+                value = value * w
+            grid[(ekey, akey)] = value
     return grid
 
 

@@ -24,6 +24,7 @@ from bowcalc.permcalc import (
     min_rep_left,
     min_rep_right,
     reduced_word,
+    shared_subword_sums,
     subword_sum,
     subword_sums,
     tilde_w,
@@ -360,12 +361,54 @@ def test_pruned_subword_sums_equal_brute_force(inputs):
         assert subword_sums(word, n, []) == {}
 
 
+@st.composite
+def word_lists_and_targets(draw):
+    """Reduced words in S_n, n <= 4, with shared prefixes: each word is a
+    drawn word's prefix followed by a reduced word that extends it.  The
+    list also holds a repeated word, a word that is a prefix of another and
+    the empty word, in a drawn order; the target list may be empty."""
+    n = draw(st.integers(1, 4))
+    perms = [Permutation(p) for p in iter_perms(range(1, n + 1))]
+    base = reduced_word(draw(st.sampled_from(perms)), rightmost=draw(st.booleans()))
+    words = [base, list(base), base[: draw(st.integers(0, len(base)))], []]
+    for _ in range(draw(st.integers(1, 4))):
+        head = base[: draw(st.integers(0, len(base)))]
+        p = Permutation.from_word(n, head)
+        tails = [u for u in perms if (p * u).length() == len(head) + u.length()]
+        words.append(head + reduced_word(draw(st.sampled_from(tails)), rightmost=draw(st.booleans())))
+    words = draw(st.permutations(words))
+    targets = draw(st.lists(st.sampled_from(perms), max_size=5, unique=True))
+    return n, words, targets
+
+
 @PROPERTY
-@given(words_and_targets())
-def test_subword_sums_sharing_one_distance_table_equal_brute_force(inputs):
+@given(word_lists_and_targets())
+def test_shared_subword_sums_equal_brute_force_word_by_word(inputs):
     n, words, targets = inputs
-    distances = {}
-    for word in words:
-        assert subword_sums(word, n, targets, distances) == brute_subword_sums(word, n, targets)
-    for sigma, dist in distances.items():
-        assert dist == min((sigma.inverse() * t).length() for t in targets)
+    seen = []
+    for index, sums in shared_subword_sums(words, n, targets):
+        assert sums == brute_subword_sums(words[index], n, targets)
+        # a word comes before every word it is a proper prefix of
+        assert not any(words[k][: len(words[index])] == words[index] != words[k] for k in seen)
+        seen.append(index)
+    assert sorted(seen) == list(range(len(words)))
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda p: sum(p) <= 5), st.data())
+def test_coset_words_give_the_sums_of_the_canonical_words(parts, data):
+    # the grid's coset sums read each w0 u off reduced_word(w0) +
+    # reduced_word(u), with w0 the shortest element of the coset: a reduced
+    # word of w0 u, so its subword sums are those of reduced_word(w0 u)
+    delta = Composition(parts)
+    n = delta.total
+    perms = st.permutations(range(1, n + 1))
+    w0 = min_rep_left(Permutation(data.draw(perms)), delta)
+    targets = [Permutation(p) for p in data.draw(st.lists(perms, max_size=4, unique_by=tuple))]
+    young = list(young_elements(delta))
+    words = [reduced_word(w0) + reduced_word(u) for u in young]
+    for index, sums in shared_subword_sums(words, n, targets):
+        z = w0 * young[index]
+        assert Permutation.from_word(n, words[index]) == z
+        assert len(words[index]) == z.length()
+        assert sums == subword_sums(reduced_word(z), n, targets)

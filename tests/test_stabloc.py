@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from bowcalc.diagrams import (
     TieDiagram,
     bct_to_tie,
     enumerate_bct,
+    essential,
     flag_diagram,
     flag_tie,
+    separate,
 )
 from bowcalc.exactalg import (
     LocalizedScalar,
@@ -37,6 +40,7 @@ from bowcalc.stabloc import (
     _coset_sums,
     _loop_free_roots,
     _root_product,
+    _standardize,
     chargeless_euler,
     loop_free_prefactor,
     n_euler,
@@ -368,12 +372,16 @@ def test_normalized_grid_relation():
 
 
 # SHA-256 of every grid entry in every chamber, both normalizations: between
-# them the three diagrams take every transport step (twisted chambers, one
-# Hanany-Witten move; a chargeless blue line; two moves and a chargeless line)
+# them the first three diagrams take every transport step (twisted chambers,
+# one Hanany-Witten move; a chargeless blue line; two moves and a chargeless
+# line).  The last two, recorded at 7818f09, have a norm Euler class with a
+# repeated weight (see test_repeated_euler_weights_divide_one_at_a_time)
 TRANSPORT_DIGESTS = {
     "0/1/3\\2/3\\2\\0": "b24367ce8f8eff0289b899ae4c0e9a1da491d3ab7ff0a2100a93cc2249357fbe",
     "0/1/2/3\\2\\1\\1\\0": "403e408a733bed499ea0acfc2d59d278d7af6d5b1a7ea2ec2408a1c300b40496",
     "0/1/2\\1\\2/1\\0": "67fa032c1904e7d703316a32c8f2edbc3ce244fb75b75af73015c1d8f341793a",
+    "0\\2\\2/2/2/2\\0": "1749afe3f1605a896b9eae767e581ac0427e1e43cff99dacc1612e47d7043ef0",
+    "0\\2/3\\2/2/2\\0": "1d8965e9cd425eeb8e9ce8f5b9cf31f3e421ef74df5c6fb138820eb8b80bc7d9",
 }
 
 
@@ -391,6 +399,28 @@ def test_transported_grids_are_pinned(text):
                 )
                 digest.update(line.encode())
     assert digest.hexdigest() == TRANSPORT_DIGESTS[text]
+
+
+@pytest.mark.parametrize("text", ["0\\2\\2/2/2/2\\0", "0\\2/3\\2/2/2\\0"])
+def test_repeated_euler_weights_divide_one_at_a_time(text):
+    # stab_grid divides by the norm Euler class one lifted weight at a time;
+    # times the expanded class, taken through the same maps, an entry must
+    # be its normalized entry again, also where a weight repeats
+    d = BraneDiagram.parse(text)
+    d_sep, moves = separate(d)
+    d_ess, removed = essential(d_sep)
+    kept = [j for j in range(1, d.N + 1) if ("U", j) not in removed]
+    lift = RingMap.h_shift(d.N, Counter(j0 for _, j0, _ in moves)).compose(
+        RingMap.renumber(d_ess.N, d.N, dict(enumerate(kept, start=1)))
+    )
+    weights = stack_character(d_ess).split_by_chamber(Permutation.identity(d_ess.N))[1].weights
+    assert len(set(weights)) < len(weights)
+    for ol in itertools.permutations(range(1, d.N + 1)):
+        z = Permutation(ol)
+        euler = lift(n_euler(d_ess, _standardize([z(j) for j in kept])))
+        normalized = stab_grid(d, z, normalized=True)
+        for key, value in stab_grid(d, z).items():
+            assert value * euler == normalized[key]
 
 
 @st.composite
@@ -433,7 +463,7 @@ def test_partial_flag_equals_the_full_prefactor_route(inputs, data):
     wp = Permutation(data.draw(st.permutations(range(1, n + 1))))
     sign = -1 if (coset_length(wp, delta) + wp.length()) % 2 else 1
     _, forms = _block_root_denominator(delta, w)
-    ((shared, _),) = _coset_sums(delta, [w], [])
+    ((_, shared, _),) = _coset_sums(delta, [w], [])
     roots = {v: _loop_free_reference(n, w * v) for v in young_elements(delta)}
     common = set.intersection(*roots.values())
     assert shared == _root_product(n, sorted(common))
@@ -449,24 +479,22 @@ def test_partial_flag_equals_the_full_prefactor_route(inputs, data):
 
 
 def _perturbed_subword_sums(delta):
-    """subword_sums plus h^l(word) at every target, for the words of the
-    shortest element of each coset z S_delta only: one summand of each coset
-    sum then gains a product of h and of forms alpha + h, which no block
-    form t_a - t_b divides, so no coset sum stays divisible."""
-    real = stabloc.subword_sums
+    """shared_subword_sums plus h^l(word) at every target, for the words of
+    the shortest element of each coset z S_delta only: one summand of each
+    coset sum then gains a product of h and of forms alpha + h, which no
+    block form t_a - t_b divides, so no coset sum stays divisible."""
+    real = stabloc.shared_subword_sums
 
     def shortest(word, n):
-        z = Permutation.identity(n)
-        for a in word:
-            z = z * Permutation.simple(n, a)
+        z = Permutation.from_word(n, word)
         return all(z(p) < z(p + 1) for k in range(1, len(delta) + 1) for p in list(delta.block(k))[:-1])
 
-    def fake(word, n, targets, distances=None):
-        sums = real(word, n, targets, distances)
-        if shortest(word, n):
-            bump = MultiPoly.h(n) ** len(word)
-            sums = {tgt: value + bump for tgt, value in sums.items()}
-        return sums
+    def fake(words, n, targets):
+        for index, sums in real(words, n, targets):
+            if shortest(words[index], n):
+                bump = MultiPoly.h(n) ** len(words[index])
+                sums = {tgt: value + bump for tgt, value in sums.items()}
+            yield index, sums
 
     return fake
 
@@ -475,11 +503,11 @@ def test_perturbed_coset_sums_are_refused(monkeypatch):
     # the polynomiality certificate still runs on every coset sum: a sum
     # that the block forms do not divide raises instead of giving a value
     delta = Composition((2, 2, 1))
-    monkeypatch.setattr(stabloc, "subword_sums", _perturbed_subword_sums(delta))
+    monkeypatch.setattr(stabloc, "shared_subword_sums", _perturbed_subword_sums(delta))
     with pytest.raises(NonPolynomialError):
         stab_partial_flag(delta, W("25143"), W("52314"))
     d = BraneDiagram.parse(RES_DIAGRAM)
-    monkeypatch.setattr(stabloc, "subword_sums", _perturbed_subword_sums(Composition(d.margins().r)))
+    monkeypatch.setattr(stabloc, "shared_subword_sums", _perturbed_subword_sums(Composition(d.margins().r)))
     with pytest.raises(NonPolynomialError):
         stab_tilde_grid.__wrapped__(d)
 
