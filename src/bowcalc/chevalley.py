@@ -95,15 +95,15 @@ def _tangent_summands(a, rows, tangent):
     return out
 
 
-@memo(lambda diagram, z: (diagram.key(), z.one_line))
 def _pairing_terms(diagram, z):
     """Reduced localized summands Stab(D)|_T * Stab_op(D')|_T / e(T_T).
 
     Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}: the summands
     ``gram_matrix`` adds up for this diagram and chamber, also read by the
-    pairing route in ``tests/pairing_route.py``.  Each nonzero Stab_op(D')|_T
-    is profiled against T's tangent forms once, and each nonzero Stab(D)|_T
-    is cancelled once, for all D'.
+    pairing route in ``tests/pairing_route.py``.  Not memoized: the Gram
+    matrix is, so the summands live only while it sums them.  Each nonzero
+    Stab_op(D')|_T is profiled against T's tangent forms once, and each
+    nonzero Stab(D)|_T is cancelled once, for all D'.
     """
     keys = list(_fixed_points(diagram))
     grid_c = stab_grid(diagram, z)

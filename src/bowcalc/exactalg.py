@@ -160,7 +160,7 @@ class MultiPoly:
     polynomial shared through the memo keeps both.
     """
 
-    __slots__ = ("_window", "_terms", "_hash", "_str")
+    __slots__ = ("_window", "_terms", "_str")
 
     def __init__(self, window, terms=None):
         self._window = window
@@ -172,7 +172,6 @@ class MultiPoly:
                 if coef:
                     clean[key] = coef
         self._terms = clean
-        self._hash = None
         self._str = None
 
     @property
@@ -192,7 +191,6 @@ class MultiPoly:
         self = cls.__new__(cls)
         self._window = window
         self._terms = terms
-        self._hash = None
         self._str = None
         return self
 
@@ -310,9 +308,10 @@ class MultiPoly:
         return self._window == other._window and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._window, frozenset(self._terms.items())))
-        return self._hash
+        terms = self._terms
+        if not terms.keys() - {0}:  # a constant equals its number: hash alike
+            return hash(terms.get(0, 0))
+        return hash((self._window, frozenset(terms.items())))
 
     def __bool__(self):
         return bool(self._terms)

@@ -7,13 +7,12 @@ which ``enumerate_ties`` lists) and the Chern tables
 restrictions (``restrict_taut``); the stable-envelope grids
 (``stab_tilde_grid``, ``stab_grid``); the tangent Euler classes
 (``tangent_euler``) and their factors (``chevalley._tangent_factors``); the
-pairing summands (``chevalley._pairing_terms``) and the Gram matrices
-(``gram_matrix``); the Chevalley-Monk matrices of the formula and the oracle
-(``cm_matrix``, ``cm_matrix_oracle``); the polynomial of each linear
-form in each window (``LinearForm.as_poly``), which every trial division
-by a form reads; and the printed factors of each monomial in each window
-(``exactalg._monomial_text``), which every ``str()`` of a polynomial
-reads."""
+Gram matrices (``gram_matrix``); the Chevalley-Monk matrices of the formula
+and the oracle (``cm_matrix``, ``cm_matrix_oracle``); the polynomial of each
+linear form in each window (``LinearForm.as_poly``), which every trial
+division by a form reads; and the printed factors of each monomial in each
+window (``exactalg._monomial_text``), which every ``str()`` of a polynomial
+reads.  A table is memoized only where a workload reads it again."""
 
 import functools
 from types import MappingProxyType

@@ -20,7 +20,8 @@ def cm_matrix_pairing(diagram, z, j, pair_terms=None):
     """The matrix of c_1(xi_j) from the pairing summands; each entry is a
     certified polynomial, since ``to_poly`` raises on a surviving denominator.
 
-    ``pair_terms`` defaults to the memoized ``_pairing_terms(diagram, z)``.
+    ``pair_terms`` defaults to ``_pairing_terms(diagram, z)``; a caller that
+    reads several bundles computes it once and passes it.
     """
     if pair_terms is None:
         pair_terms = _pairing_terms(diagram, z)
@@ -45,11 +46,11 @@ def cm_matrix_pairing(diagram, z, j, pair_terms=None):
 
 def direct_gram(diagram, z):
     """The Gram matrix of chamber z summed from its own pairing terms, past
-    every memo: the reference for ``gram_matrix``, which reads one chamber
+    the Gram memo: the reference for ``gram_matrix``, which reads one chamber
     of each opposite pair as the other's transpose."""
     zero = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
     out = {}
-    for pair, terms in _pairing_terms.__wrapped__(diagram, z).items():
+    for pair, terms in _pairing_terms(diagram, z).items():
         total = zero
         for _, scalar in terms:
             total = total + scalar

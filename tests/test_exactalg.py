@@ -146,6 +146,21 @@ def test_canonical_string():
     assert s[0] == {"coef": "1/1", "exps": {"t1": 1, "h": 2}}
 
 
+def test_constant_polynomials_hash_like_their_numbers():
+    # equal objects hash alike: a constant polynomial equals its number
+    for value in (0, 3, -7, Fraction(5, 3)):
+        for window in (1, 2, 3):
+            p = MultiPoly.const(value, window)
+            assert p == value and hash(p) == hash(value)
+            assert len({value, p}) == 1
+            assert {value: "x"}.get(p) == "x"
+    assert hash(MultiPoly.zero(2)) == hash(0) and len({0, MultiPoly.zero(2)}) == 1
+    # a polynomial hashes by its window and terms, computed on each call
+    p = t(1) * h() + 2
+    assert hash(p) == hash(t(1) * h() + 2) == hash(p)
+    assert len({p, t(1) * h() + 2, MultiPoly.t(1, 2) * MultiPoly.h(2) + 2}) == 2
+
+
 def test_euler_and_characters():
     empty = Character(2)
     assert empty.euler() == MultiPoly.one(2)

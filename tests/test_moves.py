@@ -1,8 +1,9 @@
 """The twisted simple moves of the identity chamber are the plain simple moves
 whose rows straddle the interval, each with its move sign; on random admissible
 diagrams, every move lands on the fixed-point table's own tie diagram, and on
-the small ones the formula matches the oracle, the matrices commute,
-``verify`` passes and the division-free orthogonality holds."""
+the small ones the formula and the pairing route match the oracle, the
+matrices commute, ``verify`` passes and the division-free orthogonality
+holds."""
 
 import random
 from itertools import combinations, product
@@ -10,7 +11,7 @@ from itertools import combinations, product
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from bowcalc.chevalley import cm_matrix, cm_matrix_oracle, verify
+from bowcalc.chevalley import _pairing_terms, cm_matrix, cm_matrix_oracle, verify
 from bowcalc.diagrams import (
     BLUE,
     RED,
@@ -27,7 +28,7 @@ from bowcalc.diagrams import (
 )
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import opposite_chamber
-from pairing_route import division_free_orthogonality_failures
+from pairing_route import cm_matrix_pairing, division_free_orthogonality_failures
 from test_localized_oracle import PROPERTY
 
 
@@ -116,8 +117,11 @@ def test_moves_on_random_admissible_diagrams(drawn):
     if separate(d)[0].margins().n > MAX_CHARGE:
         return
     bundles = range(1, d.num_black + 1)
+    terms = _pairing_terms(d, z)
     for j in bundles:
-        assert cm_matrix(d, z, j) == cm_matrix_oracle(d, z, j), (d.format(), str(z), j)
+        oracle = cm_matrix_oracle(d, z, j)
+        assert cm_matrix(d, z, j) == oracle, (d.format(), str(z), j)
+        assert cm_matrix_pairing(d, z, j, terms) == oracle, (d.format(), str(z), j)
     for i, j in combinations(bundles, 2):
         a, b = cm_matrix(d, z, i), cm_matrix(d, z, j)
         assert not (a.compose(b) - b.compose(a)).entries, (d.format(), str(z), i, j)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from graphlib import TopologicalSorter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from bowcalc import stabloc
 from bowcalc.diagrams import (
     BraneDiagram,
     TieDiagram,
+    _fixed_points,
     bct_to_tie,
     enumerate_bct,
     essential,
@@ -421,6 +423,47 @@ def test_repeated_euler_weights_divide_one_at_a_time(text):
         normalized = stab_grid(d, z, normalized=True)
         for key, value in stab_grid(d, z).items():
             assert value * euler == normalized[key]
+
+
+def _t_degree(p):
+    # the degree in t_1..t_N, with h held constant
+    return max(sum(mono[:-1]) for mono in p.terms)
+
+
+AXIOM_DIAGRAMS = [
+    "0/1/2\\1\\0",
+    "0/1/3/5\\3\\2\\0",
+    "0/1/3\\2/3\\2\\0",
+    "0/1/2\\1\\2/1\\0",
+    "0/1/2/3\\2\\1\\1\\0",
+    "0\\2/2/2/1/1\\0",
+    "0\\2\\2/2/2/2\\0",
+    "0\\2/3\\2/2/2\\0",
+]
+
+
+@pytest.mark.parametrize("text", AXIOM_DIAGRAMS)
+def test_every_chamber_grid_is_triangular_with_smaller_off_diagonal_degrees(text):
+    # two stable-envelope axioms on the transported grid of every chamber,
+    # with no pairing, oracle or formula: for T != D, Stab(D)|_T is zero or
+    # of smaller t-degree than Stab(T)|_T (degree), and the nonzero entries
+    # order the fixed points with a nonzero diagonal (support)
+    d = BraneDiagram.parse(text)
+    keys = list(_fixed_points(d))
+    checked = 0
+    for ol in itertools.permutations(range(1, d.N + 1)):
+        for normalized in (False, True):
+            grid = stab_grid(d, Permutation(ol), normalized=normalized)
+            above = {}
+            for tk in keys:
+                diagonal = grid[(tk, tk)]
+                assert not diagonal.is_zero(), (ol, normalized, tk)
+                above[tk] = [dk for dk in keys if dk != tk and not grid[(tk, dk)].is_zero()]
+                for dk in above[tk]:
+                    assert _t_degree(grid[(tk, dk)]) < _t_degree(diagonal), (ol, normalized, tk, dk)
+                checked += len(above[tk])
+            list(TopologicalSorter(above).static_order())  # raises CycleError on a cycle
+    assert checked
 
 
 @st.composite
