@@ -65,7 +65,37 @@ def _form_profile(b, forms):
     return Counter(forms) - Counter(_cancel_forms(b, forms)[1])
 
 
-def _tangent_summands(a, rows, tangent):
+def _diagonal_quotient(n):
+    """The maps (phi, phi^-1) that pair modulo the diagonal torus, or None
+    when n < 2.
+
+    phi: Q[t_1..t_n, h] -> Q[t_1..t_{n-1}, h] sends t_n to 0, and phi^-1
+    sends t_i to t_i - t_n.  On the subring of polynomials invariant under
+    t_i -> t_i + s for all i at once, which holds every grid entry and every
+    tangent form, phi is an isomorphism and phi^-1 its inverse.  A form
+    t_i - t_j + m*h maps to a nonzero form (``LinearForm.as_poly`` in window
+    n - 1), distinct forms to non-associate primes, so a reduced
+    ``LocalizedScalar`` maps to a reduced one with the same denominators.
+    """
+    if n < 2:
+        return None
+    low = [MultiPoly.t(i, n - 1) for i in range(1, n)]
+    t_n = MultiPoly.t(n, n)
+    return (
+        RingMap(n, n - 1, low + [MultiPoly.zero(n - 1)]),
+        RingMap(n - 1, n, [MultiPoly.t(i, n) - t_n for i in range(1, n)]),
+    )
+
+
+def _lift(value, quotient):
+    """A reduced ``LocalizedScalar`` of the quotient ring back in the full
+    ring, through phi^-1 with the same denominators (``_diagonal_quotient``)."""
+    if quotient is None:
+        return value
+    return LocalizedScalar(quotient[1](value.num), value.denoms, reduce_now=False)
+
+
+def _tangent_summands(a, rows, tangent, quotients=None):
     """The reduced localized summands a*b / e(T), one per pair (b, profile)
     of ``rows``, where profile is ``_form_profile(b, forms)``.
 
@@ -76,16 +106,31 @@ def _tangent_summands(a, rows, tangent):
     cancels exactly the forms that reducing a*b would, while the divisions
     run on the factors instead of on their much larger product.  The h power
     is divided out of each product, and the constant out of a, once.
+
+    ``quotients`` keeps the quotient of each b by each sorted prefix of the
+    forms divided out of it, keyed by (row index, prefix): a caller that
+    passes one dict for every a against the same ``rows`` divides each b by
+    each prefix once.
     """
     const, hpow, forms = tangent
     a, rest = _cancel_forms(a, forms)
     rest = Counter(rest)
     a = a * (Fraction(1) / const)
+    if quotients is None:
+        quotients = {}
     out = []
-    for b, profile in rows:
+    for row, (b, profile) in enumerate(rows):
         both = rest & profile
-        for form in sorted(both.elements()):
-            b = b.exact_div(form.as_poly(b.window))
+        divide = tuple(sorted(both.elements()))
+        # the longest prefix already divided out of this b, then the rest
+        k = len(divide)
+        while k and (q := quotients.get((row, divide[:k]))) is None:
+            k -= 1
+        if k:
+            b = q
+        for k in range(k + 1, len(divide) + 1):
+            b = b.exact_div(divide[k - 1].as_poly(b.window))
+            quotients[(row, divide[:k])] = b
         num = a * b
         if hpow:
             if num.h_valuation() < hpow:
@@ -103,11 +148,25 @@ def _pairing_terms(diagram, z):
     pairing route in ``tests/pairing_route.py``.  Not memoized: the Gram
     matrix is, so the summands live only while it sums them.  Each nonzero
     Stab_op(D')|_T is profiled against T's tangent forms once, and each
-    nonzero Stab(D)|_T is cancelled once, for all D'.
+    nonzero Stab(D)|_T is cancelled once, for all D'; within one T each
+    quotient of a Stab_op(D')|_T is shared by every D.
+
+    For N >= 2 the summands live in window N - 1, modulo the diagonal torus:
+    both grids' nonzero entries are mapped through phi (t_N -> 0, see
+    ``_diagonal_quotient``) once per call, and ``_lift`` maps a summand, or
+    a sum of them, back.  That every entry is translation invariant is not
+    checked here, at one pass over the terms per entry: the tests check it,
+    and the oracle in ``verify`` still reads the full grids, so a corruption
+    that phi hides still fails there.
     """
     keys = list(_fixed_points(diagram))
-    grid_c = stab_grid(diagram, z)
-    grid_op = stab_grid(diagram, opposite_chamber(z))
+    quotient = _diagonal_quotient(diagram.N)
+    phi = quotient[0] if quotient else (lambda p: p)
+    # the reduced grids are local, so they are freed once the call returns
+    grid_c, grid_op = (
+        {k: phi(v) for k, v in grid.items() if not v.is_zero()}
+        for grid in (stab_grid(diagram, z), stab_grid(diagram, opposite_chamber(z)))
+    )
     tangent = _tangent_factors(diagram, z)
     out = {(dk, dpk): [] for dk in keys for dpk in keys}
     # T, then D, then D'; each pair's summands still come in T order
@@ -115,15 +174,16 @@ def _pairing_terms(diagram, z):
         forms = tangent[tk][2]
         ops, rows = [], []
         for dpk in keys:
-            b = grid_op[(tk, dpk)]
-            if not b.is_zero():
+            b = grid_op.get((tk, dpk))
+            if b is not None:
                 ops.append(dpk)
                 rows.append((b, _form_profile(b, forms)))
+        quotients = {}  # one T's shared quotients, see _tangent_summands
         for dk in keys:
-            a = grid_c[(tk, dk)]
-            if a.is_zero():
+            a = grid_c.get((tk, dk))
+            if a is None:
                 continue
-            for dpk, summand in zip(ops, _tangent_summands(a, rows, tangent[tk])):
+            for dpk, summand in zip(ops, _tangent_summands(a, rows, tangent[tk], quotients)):
                 out[(dk, dpk)].append((tk, summand))
     return {pair: tuple(terms) for pair, terms in out.items()}
 
@@ -252,6 +312,7 @@ def cm_matrix_oracle(diagram, z, j):
     point T, sum_X Stab(X)|_T (C[X][D] - [X == D] c_1(xi_j)|_T) = 0.  T is solved
     after every X with Stab(X)|_T != 0 (the support axiom), by one exact division
     by Stab(T)|_T; CycleError or ZeroDivisionError means the grid is not triangular."""
+    N = diagram.N
     basis = list(_fixed_points(diagram))
     grid = stab_grid(diagram, z)
     chern = _chern_table(diagram, j)
@@ -262,7 +323,7 @@ def cm_matrix_oracle(diagram, z, j):
             known = sum_of_products(
                 ((grid[(T, X)], entries[(X, D)] - chern[T] if X == D else entries[(X, D)])
                  for X in above[T]),
-                diagram.N,
+                N,
             )
             entries[(T, D)] = -known.exact_div(grid[(T, T)])
         entries[(T, T)] = entries[(T, T)] + chern[T]
@@ -296,19 +357,34 @@ def gram_matrix(diagram, z):
     one with the smaller one-line notation sums its pairing terms; the other
     reads the transpose, in the same key order.  A self-opposite chamber
     (N <= 1) sums its own.
+
+    The summands live modulo the diagonal torus (``_pairing_terms``).  Those
+    of one pair that share their denominators are added as numerators, and
+    each group's sum is reduced once; the groups are then added as
+    ``LocalizedScalar``s, and the total is lifted back to the full ring.
+    Every sum is exact and reduced, so no order of addition moves a byte.
     """
     op = opposite_chamber(z)
     if op.one_line < z.one_line:
         other = gram_matrix(diagram, op)
         keys = list(_fixed_points(diagram))
         return {(a, b): other[(b, a)] for a in keys for b in keys}
+    quotient = _diagonal_quotient(diagram.N)
+    window = diagram.N - 1 if quotient else diagram.N
+    one = MultiPoly.one(window)
     zero = LocalizedScalar.from_poly(MultiPoly.zero(diagram.N))
     out = {}
     for pair, terms in _pairing_terms(diagram, z).items():
-        total = zero
+        groups = {}
         for _, scalar in terms:
-            total = total + scalar
-        out[pair] = total
+            groups.setdefault(scalar.denoms, []).append(scalar)
+        total = None
+        for denoms, group in groups.items():
+            part = group[0]
+            if len(group) > 1:
+                part = LocalizedScalar(sum_of_products(((s.num, one) for s in group), window), denoms)
+            total = part if total is None else total + part
+        out[pair] = zero if total is None else _lift(total, quotient)
     return out
 
 

@@ -575,7 +575,11 @@ class LinearForm(namedtuple("LinearForm", "i j m")):
 
     @memo(lambda self, window: (self, window))
     def as_poly(self, window):
-        return MultiPoly.linear(window, {self.i: 1, self.j: -1}, self.m)
+        """The form in ``window``.  j = window + 1 is read as t_j -> 0, so
+        t_i - t_N + m*h gives t_i + m*h in window N - 1, the image of the
+        diagonal-torus quotient; a larger j raises."""
+        t_coeffs = {self.i: 1} if self.j == window + 1 else {self.i: 1, self.j: -1}
+        return MultiPoly.linear(window, t_coeffs, self.m)
 
     def __str__(self):
         if self.m == 0:

@@ -9,7 +9,12 @@ import random
 from itertools import permutations
 
 from bowcalc.chevalley import (
+    _diagonal_quotient,
+    _form_profile,
+    _lift,
     _pairing_terms,
+    _tangent_factors,
+    _tangent_summands,
     check_congruence,
     check_divisibility,
     check_hw_matrix_transport,
@@ -21,6 +26,7 @@ from bowcalc.chevalley import (
 from bowcalc.diagrams import (
     BraneDiagram,
     TieDiagram,
+    _fixed_points,
     bct_to_tie,
     enumerate_bct,
     flag_diagram,
@@ -47,7 +53,12 @@ from bowcalc.stabloc import (
     stab_restriction,
     stab_tilde_antidominant,
 )
-from pairing_route import cm_matrix_pairing, direct_gram, division_free_orthogonality_failures
+from pairing_route import (
+    cm_matrix_pairing,
+    direct_gram,
+    division_free_orthogonality_failures,
+    translation_derivative,
+)
 
 W = Permutation.parse
 
@@ -271,6 +282,40 @@ def test_pairing_route_equals_oracle():
             terms = _pairing_terms(d, z)
             for j in range(1, d.num_black + 1):
                 assert cm_matrix_pairing(d, z, j, terms) == cm_matrix_oracle(d, z, j), (d.format(), str(z), j)
+
+
+def test_every_chamber_grid_is_translation_invariant_on_family():
+    # the pairing runs modulo the diagonal torus (t_N -> 0), which is exact
+    # because no entry of any chamber's grid moves under t_i -> t_i + s
+    for d in family():
+        for ol in permutations(range(1, d.N + 1)):
+            grid = stab_grid(d, Permutation(ol))
+            for key, value in grid.items():
+                assert translation_derivative(value).is_zero(), (d.format(), ol, key)
+
+
+def test_shared_quotients_equal_unshared_summands_on_family():
+    # the pairing's summands, made modulo the diagonal torus with each
+    # quotient shared per fixed point, lift back to those made in the full
+    # ring with nothing shared, one call per (T, D)
+    for d in family():
+        keys = list(_fixed_points(d))
+        for z in (Permutation.identity(d.N), random_chamber(d.N, seed=1729 + d.N)):
+            grid, grid_op = stab_grid(d, z), stab_grid(d, opposite_chamber(z))
+            tangent = _tangent_factors(d, z)
+            quotient = _diagonal_quotient(d.N)
+            want = {(dk, dpk): [] for dk in keys for dpk in keys}
+            for tk in keys:
+                ops = [dpk for dpk in keys if not grid_op[(tk, dpk)].is_zero()]
+                rows = [(grid_op[(tk, dpk)], _form_profile(grid_op[(tk, dpk)], tangent[tk][2])) for dpk in ops]
+                for dk in keys:
+                    if not grid[(tk, dk)].is_zero():
+                        for dpk, summand in zip(ops, _tangent_summands(grid[(tk, dk)], rows, tangent[tk])):
+                            want[(dk, dpk)].append((tk, summand))
+            got = _pairing_terms(d, z)
+            assert got.keys() == want.keys()
+            for pair, terms in got.items():
+                assert [(tk, _lift(s, quotient)) for tk, s in terms] == want[pair], (d.format(), str(z), pair)
 
 
 def test_cm_matrices_commute_on_family():

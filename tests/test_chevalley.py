@@ -5,6 +5,8 @@ from fractions import Fraction
 from bowcalc import chevalley
 from bowcalc.chevalley import (
     CMMatrix,
+    _diagonal_quotient,
+    _lift,
     _pairing_terms,
     _tangent_factors,
     check_congruence,
@@ -64,6 +66,7 @@ def test_pairing_summands_match_product_then_reduce():
         grid_op = stab_grid(d, opposite_chamber(z))
         tangent = _tangent_factors(d, z)
         terms = _pairing_terms(d, z)
+        quotient = _diagonal_quotient(d.N)
         for dk in keys:
             for dpk in keys:
                 want = []
@@ -73,7 +76,9 @@ def test_pairing_summands_match_product_then_reduce():
                         continue
                     const, _, forms = tangent[tk]
                     want.append((tk, str(LocalizedScalar(a * b * (Fraction(1) / const), forms))))
-                assert [(tk, str(s)) for tk, s in terms[(dk, dpk)]] == want
+                # the summands live modulo the diagonal torus: each lifts
+                # back to the full-ring product, reduced
+                assert [(tk, str(_lift(s, quotient))) for tk, s in terms[(dk, dpk)]] == want
 
 
 def test_tangent_factors_do_not_depend_on_the_chamber():
@@ -275,6 +280,68 @@ def test_opposite_failures_keep_the_direct_order(monkeypatch):
     ]
     assert len({f["row"] for f in want}) > 1 and len({f["col"] for f in want}) > 1
     assert check_orthogonality(d, w0) == want
+
+
+def test_corrupted_gram_fails_modulo_the_torus_with_full_ring_payloads(monkeypatch):
+    # every off-diagonal entry flipped is still translation invariant, so the
+    # Gram matrix summed modulo the diagonal torus is not the identity, and
+    # each failure carries the bytes of the same pairing summed in the full
+    # ring (virtual_pairing); the Gram matrix is built past its memo.  On
+    # this diagram some of the summands that share a denominator add up to
+    # a numerator that one of those forms divides
+    d = BraneDiagram.parse("0/1/2/4\\3\\2\\1\\0")
+    zid = Permutation.identity(d.N)
+    grid, grid_op = stab_grid(d, zid), stab_grid(d, opposite_chamber(zid))
+    corrupted = {k: v if k[0] == k[1] else -v for k, v in grid.items()}
+    monkeypatch.setattr(
+        chevalley,
+        "stab_grid",
+        lambda diagram, z, normalized=False: corrupted
+        if (diagram.key(), z) == (d.key(), zid)
+        else stab_grid(diagram, z, normalized),
+    )
+    monkeypatch.setattr(chevalley, "gram_matrix", gram_matrix.__wrapped__)
+    keys = [D.key() for D in enumerate_ties(d)]
+    want = []
+    for a in keys:
+        for b in keys:
+            vec_a = {tk: corrupted[(tk, a)] for tk in keys}
+            vec_b = {tk: grid_op[(tk, b)] for tk in keys}
+            total = virtual_pairing(d, zid, vec_a, vec_b)
+            assert total.window == d.N
+            if not total == (1 if a == b else 0):
+                want.append({"row": a, "col": b, "value": str(total)})
+    assert len(want) > 1
+    assert check_orthogonality(d, zid) == want
+
+
+def test_corruption_that_the_torus_quotient_hides_still_fails_verify(monkeypatch):
+    # a t_N-only term added to one grid entry vanishes under t_N -> 0, so the
+    # pairing cannot see it; the oracle reads the full grid and rejects it
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    zid = Permutation.identity(3)
+    grid = stab_grid(d, zid)
+    off = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
+    corrupted = {**grid, off: grid[off] + MultiPoly.t(d.N, d.N) ** grid[off].degree()}
+    phi = _diagonal_quotient(d.N)[0]
+    assert phi(corrupted[off]) == phi(grid[off])
+    monkeypatch.setattr(
+        chevalley,
+        "stab_grid",
+        lambda diagram, z, normalized=False: corrupted
+        if (diagram.key(), z) == (d.key(), zid)
+        else stab_grid(diagram, z, normalized),
+    )
+    for name in ("gram_matrix", "cm_matrix_oracle"):
+        monkeypatch.setattr(chevalley, name, getattr(chevalley, name).__wrapped__)
+    assert check_orthogonality(d, zid) == []
+    for j in (2, 3):  # the bundles whose Chern classes vary over the fixed points
+        assert _rejects(lambda: cm_matrix_oracle.__wrapped__(d, zid, j), cm_matrix(d, zid, j))
+    try:
+        report = verify(d)
+    except NotDivisibleError:  # the oracle's exact division refuses the grid
+        return
+    assert not report["chevalley_monk"]["ok"] and not report["ok"]
 
 
 def _rejects(route, formula):

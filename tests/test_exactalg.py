@@ -209,6 +209,23 @@ def test_linear_form_normalization():
     assert str(LinearForm(1, 2, 1)) == "t1-t2+h"
 
 
+def test_linear_form_reads_the_next_variable_as_zero():
+    # in window N - 1 a form reads t_N as 0, which is where the quotient by
+    # the diagonal torus (t_N -> 0) sends it; a later variable raises
+    assert LinearForm(2, 4, 3).as_poly(3) == MultiPoly.linear(3, {2: 1}, 3)
+    assert LinearForm(1, 3, -1).as_poly(3) == MultiPoly.linear(3, {1: 1, 3: -1}, -1)
+    assert LinearForm(1, 2).as_poly(1) == MultiPoly.t(1, 1)
+    for form in (LinearForm(2, 5), LinearForm(4, 5, 1)):
+        with pytest.raises(WindowMismatchError):
+            form.as_poly(3)
+    phi = RingMap(4, 3, [t(1), t(2), t(3), MultiPoly.zero(3)])
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            for m in (-2, 0, 1):
+                form = LinearForm(i, j, m)
+                assert phi(form.as_poly(4)) == form.as_poly(3)
+
+
 def test_localized_scalar_cancellation():
     t1, t2, t3, H = t(1), t(2), t(3), h()
     num = (t1 - t2) * (t2 - t3 + H)

@@ -27,8 +27,8 @@ from bowcalc.diagrams import (
     simple_moves_rel,
 )
 from bowcalc.permcalc import Permutation
-from bowcalc.stabloc import opposite_chamber
-from pairing_route import cm_matrix_pairing, division_free_orthogonality_failures
+from bowcalc.stabloc import opposite_chamber, stab_grid
+from pairing_route import cm_matrix_pairing, division_free_orthogonality_failures, translation_derivative
 from test_localized_oracle import PROPERTY
 
 
@@ -127,3 +127,16 @@ def test_moves_on_random_admissible_diagrams(drawn):
         assert not (a.compose(b) - b.compose(a)).entries, (d.format(), str(z), i, j)
     assert verify(d)["ok"], d.format()
     assert not division_free_orthogonality_failures(d, z), (d.format(), str(z))
+
+
+@PROPERTY
+@given(admissible_diagrams())
+def test_pairing_grids_are_translation_invariant(drawn):
+    # the pairing runs modulo the diagonal torus (t_N -> 0), which is exact
+    # because no entry of either grid it reads moves under t_i -> t_i + s
+    d, _, z = drawn
+    if separate(d)[0].margins().n > MAX_CHARGE:
+        return
+    for chamber in (z, opposite_chamber(z)):
+        for key, value in stab_grid(d, chamber).items():
+            assert translation_derivative(value).is_zero(), (d.format(), str(chamber), key)
