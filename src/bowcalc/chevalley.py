@@ -152,38 +152,37 @@ def _pairing_terms(diagram, z):
     quotient of a Stab_op(D')|_T is shared by every D.
 
     For N >= 2 the summands live in window N - 1, modulo the diagonal torus:
-    both grids' nonzero entries are mapped through phi (t_N -> 0, see
-    ``_diagonal_quotient``) once per call, and ``_lift`` maps a summand, or
-    a sum of them, back.  That every entry is translation invariant is not
-    checked here, at one pass over the terms per entry: the tests check it,
-    and the oracle in ``verify`` still reads the full grids, so a corruption
-    that phi hides still fails there.
+    each nonzero entry of both grids is mapped through phi (t_N -> 0, see
+    ``_diagonal_quotient``) once per call, as it is read, and ``_lift``
+    maps a summand, or a sum of them, back.  That every entry is translation
+    invariant is not checked here, at one pass over the terms per entry: the
+    tests check it, and the oracle in ``verify`` still reads the full grids,
+    so a corruption that phi hides still fails there.
     """
     keys = list(_fixed_points(diagram))
     quotient = _diagonal_quotient(diagram.N)
     phi = quotient[0] if quotient else (lambda p: p)
-    # the reduced grids are local, so they are freed once the call returns
-    grid_c, grid_op = (
-        {k: phi(v) for k, v in grid.items() if not v.is_zero()}
-        for grid in (stab_grid(diagram, z), stab_grid(diagram, opposite_chamber(z)))
-    )
+    grid_c = stab_grid(diagram, z)
+    grid_op = stab_grid(diagram, opposite_chamber(z))
     tangent = _tangent_factors(diagram, z)
     out = {(dk, dpk): [] for dk in keys for dpk in keys}
-    # T, then D, then D'; each pair's summands still come in T order
+    # T, then D, then D'; each pair's summands still come in T order, and
+    # each grid entry is read, and mapped through phi, once
     for tk in keys:
         forms = tangent[tk][2]
         ops, rows = [], []
         for dpk in keys:
-            b = grid_op.get((tk, dpk))
-            if b is not None:
+            b = grid_op[(tk, dpk)]
+            if not b.is_zero():
+                b = phi(b)
                 ops.append(dpk)
                 rows.append((b, _form_profile(b, forms)))
         quotients = {}  # one T's shared quotients, see _tangent_summands
         for dk in keys:
-            a = grid_c.get((tk, dk))
-            if a is None:
+            a = grid_c[(tk, dk)]
+            if a.is_zero():
                 continue
-            for dpk, summand in zip(ops, _tangent_summands(a, rows, tangent[tk], quotients)):
+            for dpk, summand in zip(ops, _tangent_summands(phi(a), rows, tangent[tk], quotients)):
                 out[(dk, dpk)].append((tk, summand))
     return {pair: tuple(terms) for pair, terms in out.items()}
 
