@@ -26,6 +26,7 @@ from .exactalg import (
     LocalizedScalar,
     MultiPoly,
     NonPolynomialError,
+    NotDivisibleError,
     RingMap,
     _cancel_forms,
     factor_s_forms,
@@ -62,7 +63,22 @@ def _tangent_factors(diagram, z):
 def _form_profile(b, forms):
     """How often each form of the sorted multiset ``forms`` divides b, capped
     at its multiplicity there, as a Counter."""
-    return Counter(forms) - Counter(_cancel_forms(b, forms)[1])
+    return _profile_quotients(b, forms)[0]
+
+
+def _profile_quotients(b, forms):
+    """``_form_profile(b, forms)`` and the quotients found on the way: a dict
+    {prefix: b / prod(prefix)} over the nonempty sorted prefixes of the
+    profile's forms, the keys ``_tangent_summands`` reads (with the row)."""
+    profile, quotients = [], {}
+    for form in forms:
+        try:
+            b = b.exact_div(form.as_poly(b.window))
+        except NotDivisibleError:
+            continue
+        profile.append(form)
+        quotients[tuple(profile)] = b
+    return Counter(profile), quotients
 
 
 def _diagonal_quotient(n):
@@ -171,13 +187,15 @@ def _pairing_terms(diagram, z):
     for tk in keys:
         forms = tangent[tk][2]
         ops, rows = [], []
+        quotients = {}  # one T's shared quotients, see _tangent_summands
         for dpk in keys:
             b = grid_op[(tk, dpk)]
             if not b.is_zero():
                 b = phi(b)
+                profile, found = _profile_quotients(b, forms)
+                quotients.update(((len(rows), prefix), q) for prefix, q in found.items())
                 ops.append(dpk)
-                rows.append((b, _form_profile(b, forms)))
-        quotients = {}  # one T's shared quotients, see _tangent_summands
+                rows.append((b, profile))
         for dk in keys:
             a = grid_c[(tk, dk)]
             if a.is_zero():
@@ -305,27 +323,69 @@ def cm_matrix(diagram, z, j):
     return CMMatrix(diagram, z, j, points, entries)
 
 
+@memo(lambda diagram, z: (diagram.key(), z.one_line))
+def _solve_plan(diagram, z):
+    """The oracle's order of solving in chamber z, shared by every bundle:
+    a tuple of (T, ((X, Stab(X)|_T), ...), Stab(T)|_T), one per fixed point
+    T, with X over the points other than T where Stab(X)|_T != 0, and each T
+    after all of its X (the support axiom).  Raises CycleError when the
+    support has a cycle and ZeroDivisionError when a diagonal is zero, at
+    any T: the grid is then not triangular."""
+    keys = list(_fixed_points(diagram))
+    grid = stab_grid(diagram, z)
+    above = {T: tuple((X, grid[(T, X)]) for X in keys if X != T and not grid[(T, X)].is_zero()) for T in keys}
+    plan = tuple(
+        (T, above[T], grid[(T, T)])
+        for T in TopologicalSorter({T: [X for X, _ in row] for T, row in above.items()}).static_order()
+    )
+    if any(diagonal.is_zero() for _, _, diagonal in plan):
+        raise ZeroDivisionError("division by zero polynomial")
+    return plan
+
+
 @memo(lambda diagram, z, j: (diagram.key(), z.one_line, j))
 def cm_matrix_oracle(diagram, z, j):
     """The same matrix by a triangular solve on the stable grid: at a fixed
     point T, sum_X Stab(X)|_T (C[X][D] - [X == D] c_1(xi_j)|_T) = 0.  T is solved
-    after every X with Stab(X)|_T != 0 (the support axiom), by one exact division
-    by Stab(T)|_T; CycleError or ZeroDivisionError means the grid is not triangular."""
+    after every X with Stab(X)|_T != 0 (the support axiom, ``_solve_plan``), by
+    one exact division by Stab(T)|_T per column D that has a term; CycleError
+    or ZeroDivisionError means the grid is not triangular.
+
+    Row T's terms come only from the entries C[X][D] already solved nonzero,
+    plus each X's own column, where the factor is C[X][X] - c_1(xi_j)|_T, so
+    the columns left with no term are zero.  The pattern comes from this
+    solve alone, never from the formula it is compared with.
+    """
     N = diagram.N
-    basis = list(_fixed_points(diagram))
-    grid = stab_grid(diagram, z)
+    basis = _fixed_points(diagram)
+    position = {key: k for k, key in enumerate(basis)}
     chern = _chern_table(diagram, j)
-    above = {T: [X for X in basis if X != T and not grid[(T, X)].is_zero()] for T in basis}
-    entries = {}
-    for T in TopologicalSorter(above).static_order():
-        for D in basis:
-            known = sum_of_products(
-                ((grid[(T, X)], entries[(X, D)] - chern[T] if X == D else entries[(X, D)])
-                 for X in above[T]),
-                N,
-            )
-            entries[(T, D)] = -known.exact_div(grid[(T, T)])
-        entries[(T, T)] = entries[(T, T)] + chern[T]
+    rows = {}  # T -> {D: C[T][D] != 0}
+    for T, above, diagonal in _solve_plan(diagram, z):
+        c = chern[T]
+        terms = {}
+        for X, s in above:
+            row = rows[X]
+            for D, v in row.items():
+                if D != X:
+                    terms.setdefault(D, []).append((s, v))
+            own = row[X] - c if X in row else -c
+            if own:
+                terms.setdefault(X, []).append((s, own))
+        row = {}
+        # columns in basis order, so that a grid that is not triangular
+        # fails at the column the dense solve would
+        for D in sorted(terms, key=position.__getitem__):
+            v = -sum_of_products(terms[D], N).exact_div(diagonal)
+            if v:
+                row[D] = v
+        v = row[T] + c if T in row else c
+        if v:
+            row[T] = v
+        else:
+            row.pop(T, None)
+        rows[T] = row
+    entries = {(T, D): v for T, row in rows.items() for D, v in row.items()}
     return CMMatrix(diagram, z, j, basis, entries)
 
 

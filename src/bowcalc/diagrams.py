@@ -29,7 +29,13 @@ Margins = namedtuple("Margins", ["r", "c", "R", "C", "n"])
 
 
 class BraneDiagram(ReadOnly):
-    __slots__ = ("colors", "labels", "_key")
+    """A brane diagram: its colored lines and black line labels.
+
+    Read-only, so ``N``, the number of blue lines, is counted once, at
+    construction.
+    """
+
+    __slots__ = ("colors", "labels", "N", "_key")
 
     def __init__(self, colors, labels):
         colors = tuple(colors)
@@ -46,6 +52,7 @@ class BraneDiagram(ReadOnly):
             raise DiagramError("colors must be %r or %r" % (RED, BLUE))
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "N", colors.count(BLUE))
         object.__setattr__(self, "_key", None)
 
     # -- text form ---------------------------------------------------------
@@ -104,10 +111,6 @@ class BraneDiagram(ReadOnly):
     @property
     def M(self):
         return sum(1 for c in self.colors if c == RED)
-
-    @property
-    def N(self):
-        return sum(1 for c in self.colors if c == BLUE)
 
     def red_positions(self):
         """Colored positions of V_1..V_M (V_1 is the rightmost red)."""
@@ -269,10 +272,10 @@ class TieDiagram(ReadOnly):
     """A brane diagram plus its set of ties, keyed by the BCT.
 
     Read-only, so that the fixed-point table can share its tie diagrams with
-    every caller.
+    every caller, and its key is joined once, at construction.
     """
 
-    __slots__ = ("diagram", "ties", "bct")
+    __slots__ = ("diagram", "ties", "bct", "_key")
 
     def __init__(self, diagram, ties):
         object.__setattr__(self, "diagram", diagram)
@@ -282,6 +285,7 @@ class TieDiagram(ReadOnly):
                 raise DiagramError("tie endpoints must have opposite colors")
         object.__setattr__(self, "ties", ties)
         object.__setattr__(self, "bct", tie_to_bct(self))
+        object.__setattr__(self, "_key", bct_key(self.bct))
         self._validate()
 
     def _validate(self):
@@ -304,7 +308,7 @@ class TieDiagram(ReadOnly):
                 )
 
     def key(self):
-        return bct_key(self.bct)
+        return self._key
 
     def sorted_ties(self):
         return sorted(self.ties)

@@ -4,14 +4,18 @@ queries read, and the one read-only rule for the values it shares.
 It holds, per diagram, the fixed-point table (``diagrams._fixed_points``,
 which ``enumerate_ties`` lists) and the Chern tables
 (``stabloc._chern_table``, which ``taut_chern`` reads); the tautological
-restrictions (``restrict_taut``); the stable-envelope grids
-(``stab_tilde_grid``, ``stab_grid``); the tangent Euler classes
-(``tangent_euler``) and their factors (``chevalley._tangent_factors``); the
-Gram matrices (``gram_matrix``); the Chevalley-Monk matrices of the formula
-and the oracle (``cm_matrix``, ``cm_matrix_oracle``); the polynomial of each
-linear form in each window (``LinearForm.as_poly``), which every trial
-division by a form reads; and the printed factors of each monomial in each
-window (``exactalg._monomial_text``), which every ``str()`` of a polynomial
+restrictions (``restrict_taut``) and, per fixed point, the counting tables
+of every blue line (``stabloc._blue_tables``), which the restriction of
+every bundle reads again; the stable-envelope grids (``stab_tilde_grid``,
+``stab_grid``); the tangent Euler classes (``tangent_euler``) and their
+factors (``chevalley._tangent_factors``); the Gram matrices
+(``gram_matrix``); the Chevalley-Monk matrices of the formula and the oracle
+(``cm_matrix``, ``cm_matrix_oracle``) and, per chamber, the oracle's solve
+plan (``chevalley._solve_plan``), which the oracle of every bundle reads
+again; the polynomial of each linear form in each window
+(``LinearForm.as_poly``), which every trial division by a form reads; and
+the printed factors of each monomial in each window
+(``exactalg._monomial_text``), which every ``str()`` of a polynomial
 reads.  A table is memoized only where a workload reads it again."""
 
 import functools

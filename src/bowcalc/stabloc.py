@@ -28,6 +28,7 @@ All results are exact polynomials in Q[t_1..t_N, h].
 """
 
 from collections import Counter
+from types import MappingProxyType
 
 from .diagrams import (
     DiagramError,
@@ -120,6 +121,17 @@ def _weight(window, t_coeffs, h_coeff):
     return tuple(t_coeffs.get(i, 0) for i in range(1, window + 1)) + (h_coeff,)
 
 
+@memo(lambda D: (D.diagram.key(), D.key()))
+def _blue_tables(D):
+    """``taut_tables(D, j)`` for every blue line U_j, as a tuple of
+    read-only (d, c) pairs: built once per fixed point, read by every
+    bundle's ``restrict_taut``."""
+    return tuple(
+        tuple(MappingProxyType(t) for t in taut_tables(D, j))
+        for j in range(1, D.diagram.N + 1)
+    )
+
+
 @memo(lambda D, i: (D.diagram.key(), D.key(), i))
 def restrict_taut(D, i):
     """The character of the tautological bundle of black line X_i at the fixed
@@ -131,8 +143,7 @@ def restrict_taut(D, i):
         raise DiagramError("black line index out of range")
     blues = d.blue_positions()
     weights = []
-    for j in range(1, d.N + 1):
-        dvals, cvals = taut_tables(D, j)
+    for j, (dvals, cvals) in enumerate(_blue_tables(D), start=1):
         base = cvals[i] - dvals[blues[j - 1]] + 1
         weights.extend(_weight(d.N, {j: 1}, base + k) for k in range(dvals[i]))
     return Character(d.N, weights)

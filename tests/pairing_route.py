@@ -14,7 +14,13 @@ out, with no division at all.
 The pairing runs modulo the diagonal torus, which is exact only because
 every grid entry is invariant under t_i -> t_i + s for all i at once;
 ``translation_derivative`` is the tests' check of that.
+
+``cm_matrix_dense_solve`` keeps the oracle's triangular solve in its dense
+form, every (T, D) pair and every X above T, as the reference for the
+row-sparse solve in ``cm_matrix_oracle``.
 """
+
+from graphlib import TopologicalSorter
 
 from bowcalc.chevalley import CMMatrix, _diagonal_quotient, _lift, _pairing_terms
 from bowcalc.diagrams import _fixed_points
@@ -48,6 +54,28 @@ def cm_matrix_pairing(diagram, z, j, pair_terms=None):
             for c, part in groups.items():
                 total = total + part * c
             entries[(dpk, dk)] = total.to_poly()
+    return CMMatrix(diagram, z, j, basis, entries)
+
+
+def cm_matrix_dense_solve(diagram, z, j):
+    """The oracle's matrix of c_1(xi_j) by the dense triangular solve: at each
+    T in the support order, every column D is solved from every X above T,
+    zero or not, past every memo but the grid's and the Chern table's."""
+    N = diagram.N
+    basis = list(_fixed_points(diagram))
+    grid = stab_grid(diagram, z)
+    chern = _chern_table(diagram, j)
+    above = {T: [X for X in basis if X != T and not grid[(T, X)].is_zero()] for T in basis}
+    entries = {}
+    for T in TopologicalSorter(above).static_order():
+        for D in basis:
+            known = sum_of_products(
+                ((grid[(T, X)], entries[(X, D)] - chern[T] if X == D else entries[(X, D)])
+                 for X in above[T]),
+                N,
+            )
+            entries[(T, D)] = -known.exact_div(grid[(T, T)])
+        entries[(T, T)] = entries[(T, T)] + chern[T]
     return CMMatrix(diagram, z, j, basis, entries)
 
 

@@ -54,6 +54,7 @@ from bowcalc.stabloc import (
     stab_tilde_antidominant,
 )
 from pairing_route import (
+    cm_matrix_dense_solve,
     cm_matrix_pairing,
     direct_gram,
     division_free_orthogonality_failures,
@@ -271,6 +272,16 @@ def test_criterion_7_cm_equals_oracle():
                 oracle = cm_matrix_oracle(d, z, j)
                 assert formula == oracle, (d.format(), str(z), j)
     report(7, "multiplication formula equals the triangular-solve oracle everywhere")
+
+
+def test_sparse_oracle_equals_dense_solve_on_family():
+    # the oracle solves only the entries its own solved rows make nonzero;
+    # the dense solve visits every (T, D) pair and every X above T
+    for d in family():
+        chambers = (Permutation.identity(d.N), Permutation.longest(d.N), random_chamber(d.N, seed=1729 + d.N))
+        for z in chambers:
+            for j in range(1, d.num_black + 1):
+                assert cm_matrix_oracle(d, z, j).to_json() == cm_matrix_dense_solve(d, z, j).to_json(), (d.format(), str(z), j)
 
 
 def test_pairing_route_equals_oracle():

@@ -332,7 +332,7 @@ def test_corruption_that_the_torus_quotient_hides_still_fails_verify(monkeypatch
         if (diagram.key(), z) == (d.key(), zid)
         else stab_grid(diagram, z, normalized),
     )
-    for name in ("gram_matrix", "cm_matrix_oracle"):
+    for name in ("gram_matrix", "cm_matrix_oracle", "_solve_plan"):
         monkeypatch.setattr(chevalley, name, getattr(chevalley, name).__wrapped__)
     assert check_orthogonality(d, zid) == []
     for j in (2, 3):  # the bundles whose Chern classes vary over the fixed points
@@ -368,7 +368,8 @@ def test_both_oracle_routes_reject_corruption(monkeypatch):
         assert not bad == cm_matrix_oracle(d, zid, j)
         assert not bad == cm_matrix_pairing(d, zid, j, good_terms)
         # a flipped off-diagonal grid entry; the memoized grid is read-only,
-        # so both routes read a corrupted copy, the oracle past its memo
+        # so both routes read a corrupted copy, the oracle past its memo and
+        # its solve plan's
         with monkeypatch.context() as m:
             m.setattr(
                 chevalley,
@@ -377,6 +378,7 @@ def test_both_oracle_routes_reject_corruption(monkeypatch):
                 if (diagram.key(), z) == (d.key(), zid)
                 else stab_grid(diagram, z, normalized),
             )
+            m.setattr(chevalley, "_solve_plan", chevalley._solve_plan.__wrapped__)
             terms = _pairing_terms(d, zid)
             assert _rejects(lambda: cm_matrix_oracle.__wrapped__(d, zid, j), good)
             assert _rejects(lambda: cm_matrix_pairing(d, zid, j, terms), good)

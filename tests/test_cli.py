@@ -185,20 +185,28 @@ def test_pair_orthogonality(capsys):
     assert json.loads(out)["result"]["value"] == "0"
 
 
-@pytest.mark.parametrize("defect", ["cycle", "zero-diagonal"])
+@pytest.mark.parametrize("defect", ["cycle", "zero-diagonal", "zero-diagonal-without-terms"])
 def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
-    # a grid that is not triangular is an invariant violation, not a traceback
+    # a grid that is not triangular is an invariant violation, not a traceback;
+    # a zero diagonal fails even at a fixed point whose row has no term to
+    # divide, one with no other nonzero entry
     d = BraneDiagram.parse(RES)
     grid = stab_grid(d, Permutation.identity(d.N))
     t, x = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
     bad = dict(grid)
     if defect == "cycle":
         bad[(x, t)] = MultiPoly.h(d.N)
-    else:
+    elif defect == "zero-diagonal":
         bad[(t, t)] = MultiPoly.zero(d.N)
+    else:
+        keys = {k[0] for k in grid}
+        lone = [k for k in keys if all(grid[(k, y)].is_zero() for y in keys if y != k)]
+        assert lone
+        bad[(lone[0], lone[0])] = MultiPoly.zero(d.N)
     monkeypatch.setattr(chevalley, "stab_grid", lambda diagram, z, normalized=False: bad)
-    # the oracle is memoized: solve afresh on the patched grid
+    # the oracle and its solve plan are memoized: solve afresh on the patched grid
     monkeypatch.setattr(chevalley, "cm_matrix_oracle", chevalley.cm_matrix_oracle.__wrapped__)
+    monkeypatch.setattr(chevalley, "_solve_plan", chevalley._solve_plan.__wrapped__)
     code, out, err = run(capsys, "cm", "--diagram", RES, "--bundle", "2", "--oracle", "--json")
     assert code == MATH_ERROR
     assert out == ""

@@ -8,6 +8,7 @@ import pytest
 
 from bowcalc.chevalley import (
     _pairing_terms,
+    _solve_plan,
     _tangent_factors,
     check_orthogonality,
     cm_matrix,
@@ -28,6 +29,7 @@ from bowcalc.diagrams import (
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import (
+    _blue_tables,
     _chern_table,
     opposite_chamber,
     restrict_taut,
@@ -35,6 +37,7 @@ from bowcalc.stabloc import (
     stab_tilde_grid,
     tangent_euler,
     taut_chern,
+    taut_tables,
 )
 
 DIAGRAM = "0/1/2\\1\\0"
@@ -180,6 +183,27 @@ def test_oracle_matrix_is_shared_and_read_only():
     assert cm_matrix_oracle(d, z, 1) is not matrix
 
 
+def test_solve_plan_and_blue_tables_are_shared_and_read_only():
+    # one solve plan per chamber serves every bundle's oracle, and one tuple
+    # of blue-line tables per fixed point serves every bundle's restriction
+    d = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
+    z = Permutation.identity(d.N)
+    plan = _solve_plan(d, z)
+    for j in range(1, d.num_black + 1):
+        cm_matrix_oracle(d, z, j)
+    assert _solve_plan(d, z) is plan
+    assert isinstance(plan, tuple) and all(isinstance(above, tuple) for _, above, _ in plan)
+    assert sorted(T for T, _, _ in plan) == sorted(_fixed_points(d))
+    for D in enumerate_ties(d):
+        tables = _blue_tables(D)
+        for j in range(1, d.num_black + 1):
+            restrict_taut(D, j)
+        assert _blue_tables(D) is tables
+        assert tables == tuple(taut_tables(D, j) for j in range(1, d.N + 1))
+        with pytest.raises(TypeError):
+            tables[0][0][1] = 7
+
+
 def test_shared_values_are_immutable():
     d = BraneDiagram.parse(DIAGRAM)
     z = Permutation.identity(d.N)
@@ -249,6 +273,12 @@ def test_a_diagram_is_read_only():
         a.labels = (0, 9, 9, 9, 0)
     with pytest.raises(AttributeError):
         del a.colors
+    # the blue-line count and each point's key are stored once, read-only
+    with pytest.raises(AttributeError):
+        a.N = 4
+    with pytest.raises(AttributeError):
+        points[0]._key = "0" * len(points[0].key())
+    assert a.N == 3 and points[0].key() == bct_key(points[0].bct)
     b = BraneDiagram.parse("0/1/3/5\\3\\2\\0")
     assert enumerate_ties(b)[0] is points[0]
     assert points[0].diagram.labels == b.labels == (0, 1, 3, 5, 3, 2, 0)

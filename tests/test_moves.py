@@ -1,9 +1,9 @@
 """The twisted simple moves of the identity chamber are the plain simple moves
 whose rows straddle the interval, each with its move sign; on random admissible
 diagrams, every move lands on the fixed-point table's own tie diagram, and on
-the small ones the formula and the pairing route match the oracle, the
-matrices commute, ``verify`` passes and the division-free orthogonality
-holds."""
+the small ones the formula, the pairing route and the dense solve match the
+oracle, whose solve plan extends each chamber's support, the matrices
+commute, ``verify`` passes and the division-free orthogonality holds."""
 
 import random
 from itertools import combinations, product
@@ -11,7 +11,7 @@ from itertools import combinations, product
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from bowcalc.chevalley import _pairing_terms, cm_matrix, cm_matrix_oracle, verify
+from bowcalc.chevalley import _pairing_terms, _solve_plan, cm_matrix, cm_matrix_oracle, verify
 from bowcalc.diagrams import (
     BLUE,
     RED,
@@ -28,7 +28,12 @@ from bowcalc.diagrams import (
 )
 from bowcalc.permcalc import Permutation
 from bowcalc.stabloc import opposite_chamber, stab_grid
-from pairing_route import cm_matrix_pairing, division_free_orthogonality_failures, translation_derivative
+from pairing_route import (
+    cm_matrix_dense_solve,
+    cm_matrix_pairing,
+    division_free_orthogonality_failures,
+    translation_derivative,
+)
 from test_localized_oracle import PROPERTY
 
 
@@ -118,8 +123,20 @@ def test_moves_on_random_admissible_diagrams(drawn):
         return
     bundles = range(1, d.num_black + 1)
     terms = _pairing_terms(d, z)
+    for chamber in (z, opposite_chamber(z)):
+        # the solve plan lists the fixed points in an order that extends the
+        # grid's support, each with a nonzero diagonal
+        grid = stab_grid(d, chamber)
+        plan = _solve_plan(d, chamber)
+        order = {T: k for k, (T, _, _) in enumerate(plan)}
+        assert order.keys() == points.keys()
+        for (tk, xk), value in grid.items():
+            if tk != xk and not value.is_zero():
+                assert order[xk] < order[tk], (d.format(), str(chamber), tk, xk)
+        assert all(not diagonal.is_zero() for _, _, diagonal in plan), (d.format(), str(chamber))
     for j in bundles:
         oracle = cm_matrix_oracle(d, z, j)
+        assert oracle.to_json() == cm_matrix_dense_solve(d, z, j).to_json(), (d.format(), str(z), j)
         assert cm_matrix(d, z, j) == oracle, (d.format(), str(z), j)
         assert cm_matrix_pairing(d, z, j, terms) == oracle, (d.format(), str(z), j)
     for i, j in combinations(bundles, 2):
