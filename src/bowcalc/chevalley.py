@@ -333,10 +333,10 @@ def _solve_plan(diagram, z):
     any T: the grid is then not triangular."""
     keys = list(_fixed_points(diagram))
     grid = stab_grid(diagram, z)
-    above = {T: tuple((X, grid[(T, X)]) for X in keys if X != T and not grid[(T, X)].is_zero()) for T in keys}
+    above = {T: [X for X in keys if X != T and not grid[(T, X)].is_zero()] for T in keys}
     plan = tuple(
-        (T, above[T], grid[(T, T)])
-        for T in TopologicalSorter({T: [X for X, _ in row] for T, row in above.items()}).static_order()
+        (T, tuple((X, grid[(T, X)]) for X in above[T]), grid[(T, T)])
+        for T in TopologicalSorter(above).static_order()
     )
     if any(diagonal.is_zero() for _, _, diagonal in plan):
         raise ZeroDivisionError("division by zero polynomial")
@@ -369,7 +369,7 @@ def cm_matrix_oracle(diagram, z, j):
             for D, v in row.items():
                 if D != X:
                     terms.setdefault(D, []).append((s, v))
-            own = row[X] - c if X in row else -c
+            own = row.get(X, 0) - c
             if own:
                 terms.setdefault(X, []).append((s, own))
         row = {}
@@ -379,11 +379,9 @@ def cm_matrix_oracle(diagram, z, j):
             v = -sum_of_products(terms[D], N).exact_div(diagonal)
             if v:
                 row[D] = v
-        v = row[T] + c if T in row else c
+        v = row.pop(T, 0) + c
         if v:
             row[T] = v
-        else:
-            row.pop(T, None)
         rows[T] = row
     entries = {(T, D): v for T, row in rows.items() for D, v in row.items()}
     return CMMatrix(diagram, z, j, basis, entries)

@@ -281,7 +281,8 @@ def test_sparse_oracle_equals_dense_solve_on_family():
         chambers = (Permutation.identity(d.N), Permutation.longest(d.N), random_chamber(d.N, seed=1729 + d.N))
         for z in chambers:
             for j in range(1, d.num_black + 1):
-                assert cm_matrix_oracle(d, z, j).to_json() == cm_matrix_dense_solve(d, z, j).to_json(), (d.format(), str(z), j)
+                want = cm_matrix_dense_solve(d, z, j).to_json()
+                assert cm_matrix_oracle(d, z, j).to_json() == want, (d.format(), str(z), j)
 
 
 def test_pairing_route_equals_oracle():
