@@ -28,7 +28,6 @@ All results are exact polynomials in Q[t_1..t_N, h].
 """
 
 from collections import Counter
-from types import MappingProxyType
 
 from .diagrams import (
     DiagramError,
@@ -123,11 +122,12 @@ def _weight(window, t_coeffs, h_coeff):
 
 @memo(lambda D: (D.diagram.key(), D.key()))
 def _blue_tables(D):
-    """``taut_tables(D, j)`` for every blue line U_j, as a tuple of
-    read-only (d, c) pairs: built once per fixed point, read by every
-    bundle's ``restrict_taut``."""
+    """``taut_tables(D, j)`` for every blue line U_j, as a tuple of (d, c)
+    pairs, each table a tuple over the black lines 1..M+N+1 (index x - 1):
+    built once per fixed point, read by every bundle's ``restrict_taut``."""
+    lines = range(1, D.diagram.num_black + 1)
     return tuple(
-        tuple(MappingProxyType(t) for t in taut_tables(D, j))
+        tuple(tuple(t[x] for x in lines) for t in taut_tables(D, j))
         for j in range(1, D.diagram.N + 1)
     )
 
@@ -144,8 +144,8 @@ def restrict_taut(D, i):
     blues = d.blue_positions()
     weights = []
     for j, (dvals, cvals) in enumerate(_blue_tables(D), start=1):
-        base = cvals[i] - dvals[blues[j - 1]] + 1
-        weights.extend(_weight(d.N, {j: 1}, base + k) for k in range(dvals[i]))
+        base = cvals[i - 1] - dvals[blues[j - 1] - 1] + 1
+        weights.extend(_weight(d.N, {j: 1}, base + k) for k in range(dvals[i - 1]))
     return Character(d.N, weights)
 
 
