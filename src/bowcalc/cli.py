@@ -23,6 +23,7 @@ from .diagrams import (
     separate,
 )
 from .exactalg import NonPolynomialError, NotDivisibleError
+from .memo import memo
 from .permcalc import Permutation
 from . import chevalley, stabloc
 
@@ -288,6 +289,7 @@ def cmd_separate(args):
     )
 
 
+@memo(lambda: ())
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bowcalc",

@@ -474,10 +474,13 @@ class MultiPoly:
         if not self._terms:
             return "0"
         terms, window = self._terms, self._window
+        texts = _monomial_text.store
         parts = []
         for key in sorted(terms, reverse=True):
             coef = terms[key]
-            text = _monomial_text(key, window)
+            text = texts.get((key, window))
+            if text is None:
+                text = _monomial_text(key, window)
             size = abs(coef)
             if not text:
                 text = str(size)

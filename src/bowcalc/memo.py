@@ -13,10 +13,12 @@ factors (``chevalley._tangent_factors``); the Gram matrices
 (``cm_matrix``, ``cm_matrix_oracle``) and, per chamber, the oracle's solve
 plan (``chevalley._solve_plan``), which the oracle of every bundle reads
 again; the polynomial of each linear form in each window
-(``LinearForm.as_poly``), which every trial division by a form reads; and
+(``LinearForm.as_poly``), which every trial division by a form reads;
 the printed factors of each monomial in each window
-(``exactalg._monomial_text``), which every ``str()`` of a polynomial
-reads.  A table is memoized only where a workload reads it again."""
+(``exactalg._monomial_text``), whose table every ``str()`` of a polynomial
+reads; and the command line parser (``cli.build_parser``), which every
+call of ``cli.main`` reads and none changes.  A table is memoized only
+where a workload reads it again."""
 
 import functools
 from types import MappingProxyType
@@ -46,8 +48,10 @@ def memo(key):
     polynomials (whose term table is read through a view) and tuples, so no
     caller can change what later callers read.
     A repeated call returns the identical object; a call that raises stores
-    nothing.  The store has no bound: every workload reads a handful of
-    tables again and again, and evicting one would rebuild it.
+    nothing.  The wrapper's ``store`` is a read-only view of the table,
+    keyed like ``key``, for a hot loop that reads it without a call.  The
+    store has no bound: every workload reads a handful of tables again and
+    again, and evicting one would rebuild it.
     """
 
     def wrap(fn):
@@ -64,6 +68,7 @@ def memo(key):
                 store[k] = result
             return result
 
+        memoized.store = MappingProxyType(store)
         return memoized
 
     return wrap

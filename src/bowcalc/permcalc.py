@@ -251,7 +251,7 @@ def subword_sums(word, n, targets):
     return sums
 
 
-def shared_subword_sums(words, n, targets):
+def shared_subword_sums(words, n, targets, ring=None):
     """The subword sums of several reduced words at once, sharing the DP
     states of their common prefixes.
 
@@ -270,6 +270,12 @@ def shared_subword_sums(words, n, targets):
     below the node multiplies to an element of the parabolic subgroup they
     generate, so sigma^-1 t must lie in that subgroup.  The distances are
     kept once per call.
+
+    ``ring`` is the RingMap the sums go through (None for the identity): h
+    and each beta are mapped once per call, so the states and the sums live
+    in ``ring.target`` variables, and each sum is the ring's image of the
+    sum in the n variables.  A grid's collapse psi is many-to-one, so this
+    runs the DP on the collapsed, much smaller polynomials.
     """
     targets = list(targets)
     # a trie node: [children by letter, indices of the words ending here,
@@ -285,11 +291,13 @@ def shared_subword_sums(words, n, targets):
             node[3] |= masks[len(word) - depth]
             node = node[0].setdefault(a, [{}, [], 0, 0])
         node[1].append(index)
-    h, zero = MultiPoly.h(n), MultiPoly.zero(n)
+    window = n if ring is None else ring.target
+    h, zero = MultiPoly.h(window), MultiPoly.zero(window)
     identity = Permutation.identity(n)
-    # {(sigma, mask): distance}, and {mask: {block images: targets}}
-    distances, reachable = {}, {}
-    states = {identity: MultiPoly.one(n)}
+    # {(sigma, mask): distance}, {mask: {block images: targets}}, and
+    # {(a, b): the image of t_a - t_b}
+    distances, reachable, betas = {}, {}, {}
+    states = {identity: MultiPoly.one(window)}
     for index in root[1]:
         yield index, {t: states.get(t, zero) for t in targets}
     # steps still to take: (states before the letter, their prefix, letter, node)
@@ -302,7 +310,10 @@ def shared_subword_sums(words, n, targets):
                 raise ValueError("word is not reduced")
             s = Permutation.simple(n, a)
             prefix = prefix * s
-            bp = beta_poly(n, (x, y))
+            bp = betas.get((x, y))
+            if bp is None:
+                bp = beta_poly(n, (x, y))
+                bp = betas[x, y] = bp if ring is None else ring(bp)
             # each next state's (value, factor) pairs, summed once it is kept
             nxt = {}
             for sigma, val in states.items():
@@ -322,7 +333,7 @@ def shared_subword_sums(words, n, targets):
                     near = by_blocks.get(_block_images(sigma, node[3]), ())
                     dist = distances[key] = min(((inv * t).length() for t in near), default=INF)
                 if dist <= node[2]:
-                    states[sigma] = sum_of_products(pairs, n)
+                    states[sigma] = sum_of_products(pairs, window)
             for index in node[1]:
                 yield index, {t: states.get(t, zero) for t in targets}
             children = node[0]

@@ -14,15 +14,18 @@ The stable basis values are computed by a resolution pipeline:
 4. On a separated essential diagram the normalized antidominant multiplicities
    come from cotangent bundles of partial flag varieties: a localization
    formula over reduced-word subwords, summed over a Young-subgroup coset,
-   pushed through the dimension-collapsing substitution and divided by a pure
-   h normalization factor.  The coset elements share their root forms up to
-   sign, so each coset sum is one polynomial numerator divided once by those
-   forms.  The prefactor factors alpha + h common to the whole coset stay
-   out of that numerator; they are pushed through the substitution once per
-   coset and multiplied back after it.  The subword sums of every coset
-   element of a grid come from one DP over the trie of their reduced words,
-   written as the coset's shortest element's word followed by a word of
-   the Young subgroup element, so a coset's words share their prefix.
+   pushed through the dimension-collapsing substitution psi and divided by a
+   pure h normalization factor.  psi is a ring map, so it is applied first:
+   every beta and every alpha + h is mapped once per grid, and the sums are
+   formed in the diagram's N variables, not in the n resolved ones.  The
+   coset elements share their root forms up to sign, so each coset sum is
+   one polynomial numerator divided once by the images of those forms.  The
+   prefactor factors alpha + h common to the whole coset stay out of that
+   numerator; they are multiplied back after the normalization factor is
+   divided out.  The subword sums of every coset element of a grid come
+   from one DP over the trie of their reduced words, written as the coset's
+   shortest element's word followed by a word of the Young subgroup
+   element, so a coset's words share their prefix.
 
 All results are exact polynomials in Q[t_1..t_N, h].
 """
@@ -42,8 +45,9 @@ from .diagrams import (
 from .exactalg import (
     Character,
     LinearForm,
-    LocalizedScalar,
     MultiPoly,
+    NonPolynomialError,
+    NotDivisibleError,
     RingMap,
     poly_product,
     sum_of_products,
@@ -209,25 +213,38 @@ def _block_root_denominator(delta, z):
     return sgn, forms
 
 
-def _coset_sums(delta, ws, targets):
+def _coset_sums(delta, ws, targets, ring=None):
     """The localization sums over the cosets w S_delta, for every target
-    permutation w' at once: one triple (index, common, sums) per w of
-    ``ws``, where index is w's place in ``ws``, common is the product of
-    (alpha + h) over the common roots and sums is {w': sum over v of
-    prefactor(wv) * subword sum(wv, w') / prod((wv).alpha)} divided by
-    common, as LocalizedScalars.  A triple is yielded as soon as its coset's
-    last subword sum is in, so the order may differ from ``ws``.
+    permutation w' at once, taken through ``ring`` (a RingMap from the n
+    variables, None for the identity): one triple (index, common, sums) per
+    w of ``ws``, where index is w's place in ``ws``, common is the image of
+    the product of (alpha + h) over the common roots and sums is {w': the
+    image of sum over v of prefactor(wv) * subword sum(wv, w') /
+    prod((wv).alpha)} divided by common, as polynomials.  A triple is
+    yielded as soon as its coset's last subword sum is in, so the order may
+    differ from ``ws``.
 
     v permutes each delta block, so the forms (wv).alpha over the roots
     inside the blocks are those of w for every v, up to the sign dsgn: the
     numerators are summed as polynomials and divided once per (w, w').  The
     common roots are the positive roots that are betas of no wv; their
     factors (alpha + h) divide every prefactor(wv), so each summand carries
-    only its few extra factors.  Dropping the common part keeps the
-    certificate: a block form t_a - t_b has no h term, so it is a prime not
-    associate to any alpha + h, and prod(forms) divides the full sum exactly
-    when it divides the sum without the common part.  The caller multiplies
-    the common part back into the polynomial.
+    only its few extra factors.  The caller multiplies the common part back
+    into the polynomial.
+
+    Everything is formed in the ring's target: the subword sums come from
+    ``shared_subword_sums`` through the same ring, and the image of each
+    alpha + h and of each block form is taken once per call.  The
+    certificate is that the image of each block form divides the image S of
+    the numerator sum exactly; a division that fails raises
+    NonPolynomialError.  Through the identity this is F | S for the product
+    F of the block forms: a block form t_a - t_b has no h term, so it is a
+    prime not associate to any alpha + h, and F divides the full sum exactly
+    when it divides the sum without the common part.  Through a many-to-one
+    ring, such as a grid's collapse psi, it is psi(F) | psi(S), which a
+    wrong S with F not dividing it can still pass; the order that checks
+    F | S first and maps after stays in the tests (``tests/tilde_route.py``)
+    as the reference the grids must equal.
 
     The subword sums of every coset element come from one call of
     ``shared_subword_sums``.  Each element is w0 u, with w0 the coset's
@@ -238,6 +255,16 @@ def _coset_sums(delta, ws, targets):
     the word ends.
     """
     n = delta.total
+    window = n if ring is None else ring.target
+    images = {}  # each LinearForm, alpha + h or a block form: its image
+
+    def image(form):
+        f = images.get(form)
+        if f is None:
+            f = form.as_poly(n)
+            f = images[form] = f if ring is None else ring(f)
+        return f
+
     young = [(u, reduced_word(u)) for u in young_elements(delta)]
     rows, words, owners = [], [], []
     for index, w in enumerate(ws):
@@ -253,7 +280,7 @@ def _coset_sums(delta, ws, targets):
         common = set.intersection(*(set(roots) for _, _, roots in coset))
         rows.append((common, forms, {tgt: [] for tgt in targets}))
     left = [len(young)] * len(rows)
-    for k, sums in shared_subword_sums(words, n, targets):
+    for k, sums in shared_subword_sums(words, n, targets, ring):
         index, z, roots = owners[k]
         common, forms, pairs = rows[index]
         extra = None
@@ -263,13 +290,21 @@ def _coset_sums(delta, ws, targets):
                 continue
             if extra is None:
                 dsgn, _ = _block_root_denominator(delta, z)
-                extra = _root_product(n, [r for r in roots if r not in common]) * dsgn
+                extra = poly_product([image(LinearForm(*r, 1)) for r in roots if r not in common], window) * dsgn
             group.append((extra, num))
         left[index] -= 1
         if not left[index]:
             rows[index] = None
-            sums = {tgt: LocalizedScalar(sum_of_products(group, n), forms) for tgt, group in pairs.items()}
-            yield index, _root_product(n, sorted(common)), sums
+            sums = {}
+            for tgt, group in pairs.items():
+                num = sum_of_products(group, window)
+                for form in forms:
+                    try:
+                        num = num.exact_div(image(form))
+                    except NotDivisibleError:
+                        raise NonPolynomialError("block form %s does not divide the coset sum" % (form,)) from None
+                sums[tgt] = num
+            yield index, poly_product([image(LinearForm(*r, 1)) for r in sorted(common)], window), sums
 
 
 def stab_partial_flag(delta, w, w_prime):
@@ -283,7 +318,7 @@ def stab_partial_flag(delta, w, w_prime):
         delta = Composition(delta)
     sign = -1 if (coset_length(w_prime, delta) + w_prime.length()) % 2 else 1
     ((_, common, sums),) = _coset_sums(delta, [w], [w_prime])
-    return (sums[w_prime] * sign).to_poly() * common
+    return sums[w_prime] * sign * common
 
 
 # -- resolution pipeline -------------------------------------------------------
@@ -318,7 +353,14 @@ def stab_tilde_grid(diagram):
     """Normalized antidominant multiplicities on a separated essential diagram.
 
     Returns {(eval key, arg key): MultiPoly} over all pairs of fixed points
-    (keys are row-major BCT bit strings).
+    (keys are row-major BCT bit strings).  The coset sums are formed through
+    ``psi_map(diagram)``, so each is certified by psi(F) | psi(S) for the
+    product F of its block forms (see ``_coset_sums``): exact, since psi is
+    a ring map that sends no block form to 0, but blind to a wrong S that
+    only psi makes divisible.  The tests compare every grid byte for byte
+    with the order that certifies F | S in the n resolved variables and
+    maps after (``tests/tilde_route.py``).  Each quotient is divided by the
+    pure h normalizer before the shared factor is multiplied back.
     """
     if not diagram.is_separated() or not diagram.is_essential():
         raise DiagramError("stable grid expects a separated essential diagram")
@@ -331,16 +373,12 @@ def stab_tilde_grid(diagram):
     targets = {bct_key(A): tilde_w(A, comp_r, comp_c) for A in bcts}
     target_perms = list(targets.values())
     norm = resolution_normalizer(diagram)
-    psi = psi_map(diagram)
     ws = (w_distinguished(A, comp_r, comp_c) for A in bcts)
     grid = {}
-    for index, common, sums in _coset_sums(comp_r, ws, target_perms):
+    for index, shared, sums in _coset_sums(comp_r, ws, target_perms, psi_map(diagram)):
         ekey = bct_key(bcts[index])
-        # psi is a ring map: the common part is mapped once per coset
-        shared = psi(common)
         for akey, tgt in targets.items():
-            poly = sums[tgt].to_poly()  # Polynomiality is a theorem; failure is a bug.
-            grid[(ekey, akey)] = (psi(poly) * shared).exact_div(norm)
+            grid[(ekey, akey)] = sums[tgt].exact_div(norm) * shared
     return grid
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bowcalc import chevalley
-from bowcalc.cli import MATH_ERROR, main
+from bowcalc.cli import MATH_ERROR, USAGE_ERROR, build_parser, main
 from bowcalc.diagrams import BraneDiagram
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
@@ -211,3 +211,14 @@ def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
     assert code == MATH_ERROR
     assert out == ""
     assert err.startswith("error: internal invariant violated: ")
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main reads one parser per process: a usage error leaves nothing behind
+    # that a later call would see, and each call prints what its first did
+    calls = [("stab", "--diagram", RES, "--all", "--bogus"), ("stab", "--diagram", RES, "--all", "--json")]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [USAGE_ERROR, 0]
+    assert "unrecognized arguments: --bogus" in first[0][2] and json.loads(first[1][1])["result"]
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert build_parser() is build_parser()

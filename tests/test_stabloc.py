@@ -19,6 +19,7 @@ from bowcalc.diagrams import (
     flag_diagram,
     flag_tie,
     separate,
+    sn_act,
 )
 from bowcalc.exactalg import (
     LocalizedScalar,
@@ -61,7 +62,9 @@ from bowcalc.stabloc import (
     taut_chern,
     taut_tables,
 )
+from test_acceptance import family, random_chamber
 from test_localized_oracle import PROPERTY
+from tilde_route import collapse, resolved_coset_values, stab_tilde_grid_resolved
 
 W = Permutation.parse
 
@@ -525,18 +528,21 @@ def _perturbed_subword_sums(delta):
     """shared_subword_sums plus h^l(word) at every target, for the words of
     the shortest element of each coset z S_delta only: one summand of each
     coset sum then gains a product of h and of forms alpha + h, which no
-    block form t_a - t_b divides, so no coset sum stays divisible."""
+    block form t_a - t_b divides, so no coset sum stays divisible.  The sums
+    come back in the window of the ring they went through, and so does the
+    bump.  Through a grid's collapse psi a block form can map to a multiple
+    of h, which the bump does divide, so a coset whose forms all do may stay
+    divisible; the grid is refused at a coset whose forms do not."""
     real = stabloc.shared_subword_sums
 
     def shortest(word, n):
         z = Permutation.from_word(n, word)
         return all(z(p) < z(p + 1) for k in range(1, len(delta) + 1) for p in list(delta.block(k))[:-1])
 
-    def fake(words, n, targets):
-        for index, sums in real(words, n, targets):
+    def fake(words, n, targets, ring=None):
+        for index, sums in real(words, n, targets, ring):
             if shortest(words[index], n):
-                bump = MultiPoly.h(n) ** len(words[index])
-                sums = {tgt: value + bump for tgt, value in sums.items()}
+                sums = {tgt: value + MultiPoly.h(value.window) ** len(words[index]) for tgt, value in sums.items()}
             yield index, sums
 
     return fake
@@ -586,3 +592,50 @@ def test_27_point_tilde_grids_are_pinned(text):
     grid = stab_tilde_grid(BraneDiagram.parse(text))
     lines = sorted("%s|%s=%s\n" % (e, a, v) for (e, a), v in grid.items())
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == TILDE_DIGESTS[text]
+
+
+# SHA-256 of the sorted lines "eval|arg=value" of stab_tilde_grid on an
+# essential diagram with n = 7 resolved variables and N = 4 (n - N = 3),
+# recorded at ab3acd6, before the subword DP ran through psi
+N7_DIAGRAM = "0/3/5/7\\5\\4\\1\\0"
+N7_DIGEST = "809cb13c62e82f3effd891e91e87dfed121ff1ee141400eeb959dd00eb726adb"
+
+
+def test_n7_tilde_grid_is_pinned():
+    d = BraneDiagram.parse(N7_DIAGRAM)
+    assert (d.margins().n, d.N) == (7, 4)
+    grid = stab_tilde_grid(d)
+    lines = sorted("%s|%s=%s\n" % (e, a, v) for (e, a), v in grid.items())
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == N7_DIGEST
+
+
+@PROPERTY
+@given(compositions_and_perms(), st.data())
+def test_coset_sums_through_a_collapse_equal_the_resolved_route(inputs, data):
+    # summing in the collapsed ring and dividing by the images of the block
+    # forms gives, byte for byte, the image of the sum divided in the n
+    # resolved variables, for any collapse of the n variables onto blocks
+    delta, w = inputs
+    n = delta.total
+    flags = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    cuts = [k for k, cut in enumerate(flags, start=1) if cut]
+    ring = collapse(Composition([b - a for a, b in zip([0] + cuts, cuts + [n])]))
+    perms = st.permutations(range(1, n + 1))
+    targets = [Permutation(p) for p in data.draw(st.lists(perms, min_size=1, max_size=3, unique_by=tuple))]
+    want = resolved_coset_values(delta, [w], targets, ring)
+    ((index, shared, sums),) = _coset_sums(delta, [w], targets, ring)
+    assert {(index, t): str(v * shared) for t, v in sums.items()} == {k: str(v) for k, v in want.items()}
+
+
+def test_tilde_grids_equal_the_resolved_route_on_family():
+    # the grids of every family diagram's essential diagram, moved to three
+    # chambers, equal the route that sums in n variables and maps after
+    for d in family():
+        d_ess = essential(separate(d)[0])[0]
+        assert collapse(Composition(d_ess.margins().c)).images == psi_map(d_ess).images
+        N = d_ess.N
+        for z in (Permutation.identity(N), Permutation.longest(N), random_chamber(N, seed=1729 + N)):
+            moved = sn_act(z, d_ess)
+            got = {key: str(value) for key, value in stab_tilde_grid(moved).items()}
+            assert got == {key: str(value) for key, value in stab_tilde_grid_resolved(moved).items()}, (
+                d.format(), str(z))
