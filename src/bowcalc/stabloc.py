@@ -298,7 +298,7 @@ def _coset_sums(delta, ws, targets, ring=None):
             sums = {}
             for tgt, group in pairs.items():
                 num = sum_of_products(group, window)
-                for form in forms:
+                for form in forms if group else ():
                     try:
                         num = num.exact_div(image(form))
                     except NotDivisibleError:
