@@ -26,7 +26,6 @@ from .exactalg import (
     LocalizedScalar,
     MultiPoly,
     NonPolynomialError,
-    NotDivisibleError,
     RingMap,
     _cancel_forms,
     factor_s_forms,
@@ -60,27 +59,6 @@ def _tangent_factors(diagram, z):
     return out
 
 
-def _form_profile(b, forms):
-    """How often each form of the sorted multiset ``forms`` divides b, capped
-    at its multiplicity there, as a Counter."""
-    return _profile_quotients(b, forms)[0]
-
-
-def _profile_quotients(b, forms):
-    """``_form_profile(b, forms)`` and the quotients found on the way: a dict
-    {prefix: b / prod(prefix)} over the nonempty sorted prefixes of the
-    profile's forms, the keys ``_tangent_summands`` reads (with the row)."""
-    profile, quotients = [], {}
-    for form in forms:
-        try:
-            b = b.exact_div(form.as_poly(b.window))
-        except NotDivisibleError:
-            continue
-        profile.append(form)
-        quotients[tuple(profile)] = b
-    return Counter(profile), quotients
-
-
 def _diagonal_quotient(n):
     """The maps (phi, phi^-1) that pair modulo the diagonal torus, or None
     when n < 2.
@@ -111,42 +89,28 @@ def _lift(value, quotient):
     return LocalizedScalar(quotient[1](value.num), value.denoms, reduce_now=False)
 
 
-def _tangent_summands(a, rows, tangent, quotients=None):
-    """The reduced localized summands a*b / e(T), one per pair (b, profile)
-    of ``rows``, where profile is ``_form_profile(b, forms)``.
+def _tangent_summands(a, rows, tangent):
+    """The reduced localized summands a*b / e(T), one per row (q, divided)
+    of ``rows``: q is b divided once by each form of e(T) that divides it
+    (``_cancel_forms``), and ``divided`` the Counter of the forms divided out.
 
     ``tangent`` is e(T) factored as (constant, h power, S forms).  ``a`` is
-    cancelled against the forms once; each b is then divided by the forms
-    that a left over and its profile holds, every division exact, before
-    anything is multiplied.  The forms are linear, hence prime, so this
-    cancels exactly the forms that reducing a*b would, while the divisions
-    run on the factors instead of on their much larger product.  The h power
-    is divided out of each product, and the constant out of a, once.
-
-    ``quotients`` keeps the quotient of each b by each sorted prefix of the
-    forms divided out of it, keyed by (row index, prefix): a caller that
-    passes one dict for every a against the same ``rows`` divides each b by
-    each prefix once.
+    cancelled against the forms once; each form divided out of both a and b
+    more often than e(T) holds it is multiplied back into q, a linear
+    product, before q meets a.  The forms are linear, hence prime, so this
+    cancels exactly the forms that reducing a*b would, and every division
+    runs on a factor instead of on the much larger product.  The h power is
+    divided out of each product, and the constant out of a, once.
     """
     const, hpow, forms = tangent
     a, rest = _cancel_forms(a, forms)
     rest = Counter(rest)
     a = a * (Fraction(1) / const)
-    if quotients is None:
-        quotients = {}
     out = []
-    for row, (b, profile) in enumerate(rows):
-        both = rest & profile
-        divide = tuple(sorted(both.elements()))
-        # the longest prefix already divided out of this b, then the rest
-        k = len(divide)
-        while k and (q := quotients.get((row, divide[:k]))) is None:
-            k -= 1
-        if k:
-            b = q
-        for k in range(k + 1, len(divide) + 1):
-            b = b.exact_div(divide[k - 1].as_poly(b.window))
-            quotients[(row, divide[:k])] = b
+    for b, divided in rows:
+        both = rest & divided
+        for form in (divided - both).elements():
+            b = b * form.as_poly(b.window)
         num = a * b
         if hpow:
             if num.h_valuation() < hpow:
@@ -163,9 +127,8 @@ def _pairing_terms(diagram, z):
     ``gram_matrix`` adds up for this diagram and chamber, also read by the
     pairing route in ``tests/pairing_route.py``.  Not memoized: the Gram
     matrix is, so the summands live only while it sums them.  Each nonzero
-    Stab_op(D')|_T is profiled against T's tangent forms once, and each
-    nonzero Stab(D)|_T is cancelled once, for all D'; within one T each
-    quotient of a Stab_op(D')|_T is shared by every D.
+    Stab_op(D')|_T is divided once by the tangent forms of T that divide it,
+    and each nonzero Stab(D)|_T is cancelled once, for all D'.
 
     For N >= 2 the summands live in window N - 1, modulo the diagonal torus:
     each nonzero entry of both grids is mapped through phi (t_N -> 0, see
@@ -186,21 +149,19 @@ def _pairing_terms(diagram, z):
     # each grid entry is read, and mapped through phi, once
     for tk in keys:
         forms = tangent[tk][2]
+        held = Counter(forms)
         ops, rows = [], []
-        quotients = {}  # one T's shared quotients, see _tangent_summands
         for dpk in keys:
             b = grid_op[(tk, dpk)]
             if not b.is_zero():
-                b = phi(b)
-                profile, found = _profile_quotients(b, forms)
-                quotients.update(((len(rows), prefix), q) for prefix, q in found.items())
+                b, left = _cancel_forms(phi(b), forms)
                 ops.append(dpk)
-                rows.append((b, profile))
+                rows.append((b, held - Counter(left)))
         for dk in keys:
             a = grid_c[(tk, dk)]
             if a.is_zero():
                 continue
-            for dpk, summand in zip(ops, _tangent_summands(phi(a), rows, tangent[tk], quotients)):
+            for dpk, summand in zip(ops, _tangent_summands(phi(a), rows, tangent[tk])):
                 out[(dk, dpk)].append((tk, summand))
     return {pair: tuple(terms) for pair, terms in out.items()}
 
@@ -217,8 +178,9 @@ def virtual_pairing(diagram, z, vec_a, vec_b):
         a, b = vec_a[key], vec_b[key]
         if a.is_zero() or b.is_zero():
             continue
-        profile = _form_profile(b, tangent[key][2])
-        total = total + _tangent_summands(a, [(b, profile)], tangent[key])[0]
+        forms = tangent[key][2]
+        b, left = _cancel_forms(b, forms)
+        total = total + _tangent_summands(a, [(b, Counter(forms) - Counter(left))], tangent[key])[0]
     return total
 
 

@@ -1,15 +1,17 @@
 """Cancel-before-multiply against multiply-then-reduce, with a sympy oracle.
 
-The pairing summands a*b / e(T) cancel the tangent forms against a, then
-divide b by the forms a left over that b's divisibility profile holds, and
-only then multiply.  These properties check on random
-polynomials times random products of S forms that the result is exactly the
-fraction that reducing the whole product gives (same numerator, same sorted
-denominators), and, through sympy's ``cancel`` and ``gcd`` over QQ, that it equals
-a*b / e(T) and is in lowest terms.  sympy is used only in tests.
+The pairing summands a*b / e(T) divide a and b once each by the tangent
+forms that divide them, multiply back into b's quotient each form divided
+out of both more often than e(T) holds it, and only then multiply.  These
+properties check on random polynomials times random products of S forms
+that the result is exactly the fraction that reducing the whole product
+gives (same numerator, same sorted denominators), and, through sympy's
+``cancel`` and ``gcd`` over QQ, that it equals a*b / e(T) and is in lowest
+terms.  sympy is used only in tests.
 """
 
 import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,13 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from bowcalc.chevalley import _form_profile, _tangent_summands
+from bowcalc.chevalley import _tangent_summands
 from bowcalc.exactalg import (
     LinearForm,
     LocalizedScalar,
     MultiPoly,
     NotDivisibleError,
+    _cancel_forms,
     factor_s_forms,
     poly_product,
 )
@@ -78,6 +81,13 @@ def summand_inputs(draw):
     return a, bs, (const, hpow, sorted(denoms))
 
 
+def tangent_row(b, forms_):
+    """The pairing's row for b: b divided once by each form of the sorted
+    multiset ``forms_`` that divides it, and the Counter of those forms."""
+    quotient, left = _cancel_forms(b, forms_)
+    return quotient, Counter(forms_) - Counter(left)
+
+
 def reduce_product(a, b, tangent):
     """The product-then-reduce construction the cancel-first path replaces."""
     const, hpow, forms_ = tangent
@@ -120,12 +130,12 @@ def test_tangent_summands_equal_product_then_reduce(inputs):
     window = a.window
     euler = poly_product([f.as_poly(window) for f in forms_], window)
     euler = euler * MultiPoly.h(window) ** hpow * const
-    rows = [(b, _form_profile(b, forms_)) for b in bs]
-    for b, profile in rows:
+    rows = [tangent_row(b, forms_) for b in bs]
+    for b, (_, divided) in zip(bs, rows):
         # each form's multiplicity in b, capped at its multiplicity in e(T)
         B = to_sympy(b)
         for f in set(forms_):
-            k, F = profile[f], to_sympy(f.as_poly(window))
+            k, F = divided[f], to_sympy(f.as_poly(window))
             assert 0 <= k <= forms_.count(f)
             assert B.rem(F ** k) == 0
             assert k == forms_.count(f) or B.rem(F ** (k + 1)) != 0
@@ -134,6 +144,29 @@ def test_tangent_summands_equal_product_then_reduce(inputs):
         assert got.num == want.num and got.denoms == want.denoms
         assert str(got) == str(want)
         assert_sympy_reduced(got, a * b, euler)
+
+
+@pytest.mark.parametrize("held", [1, 2])
+def test_tangent_summand_multiplies_back_only_what_both_factors_gave(held):
+    # f = t1 - t2 divides a and b once each.  Held once by e(T), it is
+    # cancelled from a, so b's quotient gets it back; held twice, it is
+    # cancelled from both and nothing is multiplied back.
+    window = 2
+    f, g = LinearForm(1, 2, 0), LinearForm(1, 2, 1)
+    t1, t2, h = MultiPoly.t(1, window), MultiPoly.t(2, window), MultiPoly.h(window)
+    a = f.as_poly(window) * t1 * h
+    b = f.as_poly(window) * (t2 - h)
+    tangent = (Fraction(-3, 2), 1, sorted([f] * held + [g]))
+    row = tangent_row(b, tangent[2])
+    assert row[1] == Counter({f: 1})
+    rest = Counter(_cancel_forms(a, tangent[2])[1])
+    assert (row[1] - (rest & row[1]))[f] == 2 - held
+    got = _tangent_summands(a, [row], tangent)[0]
+    want = reduce_product(a, b, tangent)
+    assert got.num == want.num and got.denoms == want.denoms
+    assert got.denoms == (g,)
+    euler = poly_product([x.as_poly(window) for x in tangent[2]], window) * h * tangent[0]
+    assert_sympy_reduced(got, a * b, euler)
 
 
 @st.composite
