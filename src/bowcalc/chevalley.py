@@ -5,7 +5,13 @@ The matrix of multiplication by c_1(xi_j) has entry[row D'][col D] equal to
 the coefficient of Stab(D') in c_1(xi_j) cup Stab(D).  Two independent routes
 compute it: the combinatorial formula (diagonal = tautological Chern
 restriction, off-diagonal = signed h on twisted simple moves) and the oracle
-(a triangular solve of Stab * C = diag(c_1(xi_j)) * Stab on the stable grid)."""
+(a triangular solve of Stab * C = diag(c_1(xi_j)) * Stab on the stable grid).
+
+Both the oracle and the pairing read the grids factored by rows
+(``stabloc.factored_grid``): every entry of row T is K(T), a product of
+linear forms, times a cofactor.  The solve is unchanged when row T is
+divided by K(T), and in the pairing K_z(T) * K_-z(T) divides e(T), so both
+run on the cofactors alone and give the same exact values."""
 
 import operator
 import random
@@ -23,6 +29,7 @@ from .diagrams import (
     simple_moves_rel,
 )
 from .exactalg import (
+    LinearForm,
     LocalizedScalar,
     MultiPoly,
     NonPolynomialError,
@@ -35,9 +42,32 @@ from .memo import ReadOnly, memo
 from .permcalc import Composition, Permutation, tilde_w
 from .stabloc import (
     _chern_table,
+    factored_grid,
     opposite_chamber,
     stab_grid,
 )
+
+
+def _row_forms(forms):
+    """The product of a row factor's linear forms, each t_i - t_j + m*h or
+    c*h, factored like ``factor_s_forms``: (constant, h power, S forms),
+    read off each form's terms with no trial division."""
+    const, hpow, out = 1, 0, []
+    for p in forms:
+        var, m = {}, 0  # t coefficient (1 or -1) -> its variable; h's
+        for mono, c in p.terms.items():
+            if mono[-1]:
+                m = c
+            else:
+                var[c] = mono.index(1) + 1
+        if var:
+            form, sign = LinearForm.normalized(var[1], var[-1], m)
+            const *= sign
+            out.append(form)
+        else:
+            const, hpow = const * m, hpow + 1
+    return const, hpow, out
+
 
 @memo(lambda diagram, z: diagram.key())
 def _tangent_factors(diagram, z):
@@ -45,17 +75,44 @@ def _tangent_factors(diagram, z):
 
     Each tangent class is the product of the two opposite-chamber diagonal
     stable multiplicities; both are Euler classes, so they factor completely.
+    Each diagonal is its row factor, whose forms are read off directly
+    (``_row_forms``), times its cofactor, which ``factor_s_forms`` factors.
     The product e(T_T) does not depend on the chamber z (the normalization
     axiom), and its factorization into sorted S forms is unique, so one
     table per diagram serves every chamber; ``z`` only picks the grids read.
     """
-    grid_c = stab_grid(diagram, z)
-    grid_op = stab_grid(diagram, opposite_chamber(z))
+    grids = (factored_grid(diagram, z), factored_grid(diagram, opposite_chamber(z)))
     out = {}
     for key in _fixed_points(diagram):
-        c1, h1, f1 = factor_s_forms(grid_c[(key, key)])
-        c2, h2, f2 = factor_s_forms(grid_op[(key, key)])
-        out[key] = (c1 * c2, h1 + h2, tuple(sorted(f1 + f2)))
+        const, hpow, forms = 1, 0, []
+        for rows, cofactors in grids:
+            for c, k, f in (_row_forms(rows[key]), factor_s_forms(cofactors[(key, key)])):
+                const, hpow = const * c, hpow + k
+                forms.extend(f)
+        out[key] = (const, hpow, tuple(sorted(forms)))
+    return out
+
+
+def _cofactor_tangents(diagram, z):
+    """{T: e(T_T) / (K_z(T) * K_-z(T))} factored like ``_tangent_factors``:
+    the product of the two cofactor diagonals, which the pairing divides by.
+
+    The row factors of both chambers are taken out of e(T)'s factors: their
+    forms by one Counter subtraction, their constants and h powers by
+    division.  K_z(T) divides Stab_z(T)|_T, and e(T) is the product of the
+    two diagonals, so every form is there; one that is not raises
+    NonPolynomialError.
+    """
+    rows_c = factored_grid(diagram, z)[0]
+    rows_op = factored_grid(diagram, opposite_chamber(z))[0]
+    out = {}
+    for key, (const, hpow, forms) in _tangent_factors(diagram, z).items():
+        c, k, row = _row_forms(rows_c[key] + rows_op[key])
+        left = Counter(forms)
+        left.subtract(row)
+        if k > hpow or any(v < 0 for v in left.values()):
+            raise NonPolynomialError("row factor of %s is not in its tangent class" % key)
+        out[key] = (Fraction(const) / c, hpow - k, tuple(sorted(left.elements())))
     return out
 
 
@@ -121,17 +178,21 @@ def _tangent_summands(a, rows, tangent):
 
 
 def _pairing_terms(diagram, z):
-    """Reduced localized summands Stab(D)|_T * Stab_op(D')|_T / e(T_T).
+    """Reduced localized summands Stab(D)|_T * Stab_op(D')|_T / e(T_T),
+    formed as S(D)|_T * S_op(D')|_T / (e(T_T) / (K(T) * K_op(T))) from the
+    cofactors S and the cofactor tangent classes (``_cofactor_tangents``):
+    the same reduced fractions, from smaller factors.
 
     Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}: the summands
     ``gram_matrix`` adds up for this diagram and chamber, also read by the
     pairing route in ``tests/pairing_route.py``.  Not memoized: the Gram
     matrix is, so the summands live only while it sums them.  Each nonzero
-    Stab_op(D')|_T is divided once by the tangent forms of T that divide it,
-    and each nonzero Stab(D)|_T is cancelled once, for all D'.
+    cofactor of Stab_op(D')|_T is divided once by the tangent forms of T
+    that divide it, and each nonzero one of Stab(D)|_T is cancelled once,
+    for all D'.
 
     For N >= 2 the summands live in window N - 1, modulo the diagonal torus:
-    each nonzero entry of both grids is mapped through phi (t_N -> 0, see
+    each nonzero cofactor of both grids is mapped through phi (t_N -> 0, see
     ``_diagonal_quotient``) once per call, as it is read, and ``_lift``
     maps a summand, or a sum of them, back.  That every entry is translation
     invariant is not checked here, at one pass over the terms per entry: the
@@ -141,9 +202,9 @@ def _pairing_terms(diagram, z):
     keys = list(_fixed_points(diagram))
     quotient = _diagonal_quotient(diagram.N)
     phi = quotient[0] if quotient else (lambda p: p)
-    grid_c = stab_grid(diagram, z)
-    grid_op = stab_grid(diagram, opposite_chamber(z))
-    tangent = _tangent_factors(diagram, z)
+    grid_c = factored_grid(diagram, z)[1]
+    grid_op = factored_grid(diagram, opposite_chamber(z))[1]
+    tangent = _cofactor_tangents(diagram, z)
     out = {(dk, dpk): [] for dk in keys for dpk in keys}
     # T, then D, then D'; each pair's summands still come in T order, and
     # each grid entry is read, and mapped through phi, once
@@ -288,13 +349,15 @@ def cm_matrix(diagram, z, j):
 @memo(lambda diagram, z: (diagram.key(), z.one_line))
 def _solve_plan(diagram, z):
     """The oracle's order of solving in chamber z, shared by every bundle:
-    a tuple of (T, ((X, Stab(X)|_T), ...), Stab(T)|_T), one per fixed point
-    T, with X over the points other than T where Stab(X)|_T != 0, and each T
+    a tuple of (T, ((X, S(X)|_T), ...), S(T)|_T), one per fixed point T,
+    where S(X)|_T is the cofactor of Stab(X)|_T = K(T) * S(X)|_T
+    (``factored_grid``): dividing row T by K(T) leaves the solve unchanged.
+    X runs over the points other than T where S(X)|_T != 0, and each T comes
     after all of its X (the support axiom).  Raises CycleError when the
     support has a cycle and ZeroDivisionError when a diagonal is zero, at
     any T: the grid is then not triangular."""
     keys = list(_fixed_points(diagram))
-    grid = stab_grid(diagram, z)
+    grid = factored_grid(diagram, z)[1]
     above = {T: [X for X in keys if X != T and not grid[(T, X)].is_zero()] for T in keys}
     plan = tuple(
         (T, tuple((X, grid[(T, X)]) for X in above[T]), grid[(T, T)])
@@ -311,7 +374,9 @@ def cm_matrix_oracle(diagram, z, j):
     point T, sum_X Stab(X)|_T (C[X][D] - [X == D] c_1(xi_j)|_T) = 0.  T is solved
     after every X with Stab(X)|_T != 0 (the support axiom, ``_solve_plan``), by
     one exact division by Stab(T)|_T per column D that has a term; CycleError
-    or ZeroDivisionError means the grid is not triangular.
+    or ZeroDivisionError means the grid is not triangular.  The plan holds
+    each row divided by its factor K(T), which the equation at T does not
+    see.
 
     Row T's terms come only from the entries C[X][D] already solved nonzero,
     plus each X's own column, where the factor is C[X][X] - c_1(xi_j)|_T, so

@@ -6,8 +6,9 @@ which ``enumerate_ties`` lists) and the Chern tables
 (``stabloc._chern_table``, which ``taut_chern`` reads); the tautological
 restrictions (``restrict_taut``) and, per fixed point, the counting tables
 of every blue line (``stabloc._blue_tables``), which the restriction of
-every bundle reads again; the stable-envelope grids (``stab_tilde_grid``,
-``stab_grid``); the tangent Euler classes (``tangent_euler``) and their
+every bundle reads again; the stable-envelope grids, factored by rows
+(``stab_tilde_grid``, ``stabloc.factored_grid``) and expanded
+(``stab_grid``); the tangent Euler classes (``tangent_euler``) and their
 factors (``chevalley._tangent_factors``); the Gram matrices
 (``gram_matrix``); the Chevalley-Monk matrices of the formula and the oracle
 (``cm_matrix``, ``cm_matrix_oracle``) and, per chamber, the oracle's solve

@@ -21,16 +21,27 @@ The stable basis values are computed by a resolution pipeline:
    coset elements share their root forms up to sign, so each coset sum is
    one polynomial numerator divided once by the images of those forms.  The
    prefactor factors alpha + h common to the whole coset stay out of that
-   numerator; they are multiplied back after the normalization factor is
-   divided out.  The subword sums of every coset element of a grid come
-   from one DP over the trie of their reduced words, written as the coset's
-   shortest element's word followed by a word of the Young subgroup
-   element, so a coset's words share their prefix.
+   numerator and are never multiplied back: they are the row's factor, a
+   list of linear forms shared by every entry of the row, and the quotient
+   by the normalization factor is the entry's cofactor.  The subword sums
+   of every coset element of a grid come from one DP over the trie of
+   their reduced words, written as the coset's shortest element's word
+   followed by a word of the Young subgroup element, so a coset's words
+   share their prefix.
+
+A grid is kept factored, as (rows, cofactors): rows maps each evaluation
+point T to its row factor K(T), a tuple of linear forms, and every entry of
+row T is K(T) times its cofactor.  The chamber transport maps the forms and
+the cofactors, cancels each normalization weight against a form of the row
+where the row holds it and divides the cofactors by it otherwise, and
+appends the chargeless weights to the row.  The oracle and the pairing read
+the cofactors; ``stab_grid`` expands K(T) * cofactor once per entry.
 
 All results are exact polynomials in Q[t_1..t_N, h].
 """
 
 from collections import Counter
+from types import MappingProxyType
 
 from .diagrams import (
     DiagramError,
@@ -217,20 +228,20 @@ def _coset_sums(delta, ws, targets, ring=None):
     """The localization sums over the cosets w S_delta, for every target
     permutation w' at once, taken through ``ring`` (a RingMap from the n
     variables, None for the identity): one triple (index, common, sums) per
-    w of ``ws``, where index is w's place in ``ws``, common is the image of
-    the product of (alpha + h) over the common roots and sums is {w': the
+    w of ``ws``, where index is w's place in ``ws``, common is the list of
+    the images of (alpha + h) over the common roots and sums is {w': the
     image of sum over v of prefactor(wv) * subword sum(wv, w') /
-    prod((wv).alpha)} divided by common, as polynomials.  A triple is
-    yielded as soon as its coset's last subword sum is in, so the order may
-    differ from ``ws``.
+    prod((wv).alpha)} divided by the product of common, as polynomials.  A
+    triple is yielded as soon as its coset's last subword sum is in, so the
+    order may differ from ``ws``.
 
     v permutes each delta block, so the forms (wv).alpha over the roots
     inside the blocks are those of w for every v, up to the sign dsgn: the
     numerators are summed as polynomials and divided once per (w, w').  The
     common roots are the positive roots that are betas of no wv; their
     factors (alpha + h) divide every prefactor(wv), so each summand carries
-    only its few extra factors.  The caller multiplies the common part back
-    into the polynomial.
+    only its few extra factors.  The common part stays a list: the caller
+    multiplies it back or keeps it as a factor.
 
     Everything is formed in the ring's target: the subword sums come from
     ``shared_subword_sums`` through the same ring, and the image of each
@@ -304,7 +315,7 @@ def _coset_sums(delta, ws, targets, ring=None):
                     except NotDivisibleError:
                         raise NonPolynomialError("block form %s does not divide the coset sum" % (form,)) from None
                 sums[tgt] = num
-            yield index, poly_product([image(LinearForm(*r, 1)) for r in sorted(common)], window), sums
+            yield index, [image(LinearForm(*r, 1)) for r in sorted(common)], sums
 
 
 def stab_partial_flag(delta, w, w_prime):
@@ -318,7 +329,7 @@ def stab_partial_flag(delta, w, w_prime):
         delta = Composition(delta)
     sign = -1 if (coset_length(w_prime, delta) + w_prime.length()) % 2 else 1
     ((_, common, sums),) = _coset_sums(delta, [w], [w_prime])
-    return sums[w_prime] * sign * common
+    return sums[w_prime] * sign * poly_product(common, delta.total)
 
 
 # -- resolution pipeline -------------------------------------------------------
@@ -350,17 +361,21 @@ def psi_map(diagram):
 
 @memo(lambda diagram: diagram.key())
 def stab_tilde_grid(diagram):
-    """Normalized antidominant multiplicities on a separated essential diagram.
+    """Normalized antidominant multiplicities on a separated essential
+    diagram, factored by rows.
 
-    Returns {(eval key, arg key): MultiPoly} over all pairs of fixed points
-    (keys are row-major BCT bit strings).  The coset sums are formed through
+    Returns (rows, cofactors): rows maps each eval key to the tuple of psi
+    images of alpha + h over the roots common to its coset, and cofactors
+    maps (eval key, arg key), over all pairs of fixed points (keys are
+    row-major BCT bit strings), to the coset sum divided by the pure h
+    normalizer; the multiplicity is the product of the row's forms times
+    the cofactor (``expand_grid``).  The coset sums are formed through
     ``psi_map(diagram)``, so each is certified by psi(F) | psi(S) for the
     product F of its block forms (see ``_coset_sums``): exact, since psi is
     a ring map that sends no block form to 0, but blind to a wrong S that
     only psi makes divisible.  The tests compare every grid byte for byte
     with the order that certifies F | S in the n resolved variables and
-    maps after (``tests/tilde_route.py``).  Each quotient is divided by the
-    pure h normalizer before the shared factor is multiplied back.
+    maps after (``tests/tilde_route.py``).
     """
     if not diagram.is_separated() or not diagram.is_essential():
         raise DiagramError("stable grid expects a separated essential diagram")
@@ -368,25 +383,45 @@ def stab_tilde_grid(diagram):
     N = diagram.N
     bcts = enumerate_bct(diagram)
     if m.n == 0:
-        return {(bct_key(bcts[0]), bct_key(bcts[0])): MultiPoly.one(N)}
+        key = bct_key(bcts[0])
+        return _frozen({key: ()}, {(key, key): MultiPoly.one(N)})
     comp_r, comp_c = Composition(m.r), Composition(m.c)
     targets = {bct_key(A): tilde_w(A, comp_r, comp_c) for A in bcts}
     target_perms = list(targets.values())
     norm = resolution_normalizer(diagram)
     ws = (w_distinguished(A, comp_r, comp_c) for A in bcts)
-    grid = {}
-    for index, shared, sums in _coset_sums(comp_r, ws, target_perms, psi_map(diagram)):
+    rows, cofactors = {}, {}
+    for index, common, sums in _coset_sums(comp_r, ws, target_perms, psi_map(diagram)):
         ekey = bct_key(bcts[index])
+        rows[ekey] = tuple(common)
         for akey, tgt in targets.items():
-            grid[(ekey, akey)] = sums[tgt].exact_div(norm) * shared
+            cofactors[(ekey, akey)] = sums[tgt].exact_div(norm)
+    return _frozen(rows, cofactors)
+
+
+def _frozen(rows, cofactors):
+    """A factored grid as the memo shares it: both tables read-only."""
+    return MappingProxyType(rows), MappingProxyType(cofactors)
+
+
+def expand_grid(factored):
+    """{(eval key, arg key): MultiPoly} of a factored grid (rows, cofactors):
+    each cofactor times the product of its row's forms, formed once per row."""
+    rows, cofactors = factored
+    products = {}
+    grid = {}
+    for (ekey, akey), value in cofactors.items():
+        k = products.get(ekey)
+        if k is None:
+            k = products[ekey] = poly_product(rows[ekey], value.window)
+        grid[(ekey, akey)] = value * k
     return grid
 
 
 def stab_tilde_antidominant(diagram, D_eval, D_arg):
     """Normalized antidominant stable multiplicity on a separated essential
     diagram, straight from the resolution pipeline."""
-    grid = stab_tilde_grid(diagram)
-    return grid[(D_eval.key(), D_arg.key())]
+    return expand_grid(stab_tilde_grid(diagram))[(D_eval.key(), D_arg.key())]
 
 
 # -- constant normal characters -------------------------------------------------
@@ -448,10 +483,33 @@ def _standardize(values):
     return Permutation(ol)
 
 
+def _cancel_weights(forms, weights):
+    """Cancel each weight of ``weights`` against the list of linear
+    ``forms`` of a row factor, one occurrence each.
+
+    Returns (forms left, sign, weights left): a weight equal to a form
+    removes it; one equal to the negative of a form removes it and flips
+    the sign; any other weight is left to divide the row's cofactors.
+    """
+    forms = list(forms)
+    sign = 1
+    rest = []
+    for w in weights:
+        if w in forms:
+            forms.remove(w)
+        elif -w in forms:
+            forms.remove(-w)
+            sign = -sign
+        else:
+            rest.append(w)
+    return forms, sign, rest
+
+
 @memo(lambda diagram, z, normalized=False: (diagram.key(), z.one_line, normalized))
-def stab_grid(diagram, z, normalized=False):
-    """All multiplicities {(eval key, arg key): MultiPoly} for the chamber
-    z^-1.C_-, for any admissible diagram.
+def factored_grid(diagram, z, normalized=False):
+    """The grid of ``stab_grid(diagram, z, normalized)`` factored by rows:
+    (rows, cofactors), with rows[T] a tuple of linear forms whose product
+    times cofactors[(T, D)] is the multiplicity (``expand_grid``).
 
     Pipeline: Hanany-Witten separation (transporting by t_{j0} -> t_{j0}+h per
     move), chargeless reduction (Euler factor of the constant normal
@@ -460,10 +518,13 @@ def stab_grid(diagram, z, normalized=False):
     Euler class unless ``normalized``.  The three variable substitutions
     (chamber renumbering, essential embedding, h shift) are ring
     homomorphisms, the shift an automorphism, so they are composed into one
-    RingMap applied once per entry.  Both Euler classes stay lists of linear
-    weights, each mapped alike: an entry is divided exactly by each lifted
-    normalization weight in turn (a linear weight is prime) and multiplied
-    by each chargeless weight, so an empty list costs no pass.
+    RingMap applied once to every cofactor and to every form of a row.  Both
+    Euler classes stay lists of linear weights, each mapped alike.  Each
+    lifted normalization weight cancels against a form of the row that
+    equals it up to sign (``_cancel_weights``); a weight that no form
+    matches divides each of the row's cofactors exactly, since it is prime
+    and divides the entry but not the row factor.  The chargeless weights
+    are appended to the row.
     """
     d = diagram
     if z.n != d.N:
@@ -475,7 +536,7 @@ def stab_grid(diagram, z, normalized=False):
     keys = list(points)
 
     if m.n == 0:
-        return {(keys[0], keys[0]): MultiPoly.one(N)}
+        return _frozen({keys[0]: ()}, {(keys[0], keys[0]): MultiPoly.one(N)})
 
     d_ess, removed = essential(d_sep)
     kept_rows = [i for i in range(1, d.M + 1) if ("V", i) not in removed]
@@ -488,29 +549,38 @@ def stab_grid(diagram, z, normalized=False):
         shift = RingMap.h_shift(N, Counter(j0 for _, j0, _ in moves))
         lift = shift.compose(lift)
         iota = [shift(w) for w in iota]
-    norm_weights = [lift(w) for w in stack_character(d_ess).split_by_chamber(z_ess)[1].factors()]
+    norm_weights = []
+    if not normalized:
+        norm_weights = [lift(w) for w in stack_character(d_ess).split_by_chamber(z_ess)[1].factors()]
 
     # The chamber z_ess of d_ess is read off the antidominant grid of
     # z_ess.d_ess: a fixed point moves with its columns, and the renumbering
     # t_i -> t_{z_ess^-1(i)} takes the moved entry back.
-    base = stab_tilde_grid(sn_act(z_ess, d_ess))
+    base_rows, base = stab_tilde_grid(sn_act(z_ess, d_ess))
     back = RingMap.renumber(n_ess, n_ess, dict(enumerate(z_ess.inverse().one_line, 1)))
     sub = lift.compose(back)
     base_keys = []
     for D in points.values():
         restricted = tuple(tuple(D.bct[i - 1][j - 1] for j in kept_cols) for i in kept_rows)
         base_keys.append(bct_key(permute_bct_columns(restricted, z_ess)))
-    grid = {}
+    rows, cofactors = {}, {}
     for ekey, e in zip(keys, base_keys):
+        forms, sign, divisors = _cancel_weights([sub(f) for f in base_rows[e]], norm_weights)
+        rows[ekey] = tuple(forms + iota)
         for akey, a in zip(keys, base_keys):
             value = sub(base[(e, a)])
-            if not normalized:
-                for w in norm_weights:
-                    value = value.exact_div(w)
-            for w in iota:
-                value = value * w
-            grid[(ekey, akey)] = value
-    return grid
+            for w in divisors:
+                value = value.exact_div(w)
+            cofactors[(ekey, akey)] = value if sign == 1 else -value
+    return _frozen(rows, cofactors)
+
+
+@memo(lambda diagram, z, normalized=False: (diagram.key(), z.one_line, normalized))
+def stab_grid(diagram, z, normalized=False):
+    """All multiplicities {(eval key, arg key): MultiPoly} for the chamber
+    z^-1.C_-, for any admissible diagram: the factored grid
+    (``factored_grid``) expanded once per entry."""
+    return expand_grid(factored_grid(diagram, z, normalized))
 
 
 def stab_restriction(diagram, z, D_eval, D_arg, normalized=False):

@@ -23,7 +23,7 @@ from bowcalc.chevalley import (
 from bowcalc.diagrams import BraneDiagram, TieDiagram, enumerate_ties, flag_diagram
 from bowcalc.exactalg import LocalizedScalar, MultiPoly, NonPolynomialError, NotDivisibleError
 from bowcalc.permcalc import Permutation
-from bowcalc.stabloc import _chern_table, opposite_chamber, stab_grid
+from bowcalc.stabloc import _chern_table, expand_grid, factored_grid, opposite_chamber, stab_grid
 from pairing_route import cm_matrix_pairing, direct_gram
 
 W = Permutation.parse
@@ -261,16 +261,16 @@ def test_opposite_failures_keep_the_direct_order(monkeypatch):
     # terms reports, in the same order; the Gram matrix is built past its memo
     d = BraneDiagram.parse(RES_DIAGRAM)
     zid, w0 = Permutation.identity(3), Permutation.longest(3)
-    grid = stab_grid(d, zid)
+    rows, grid = factored_grid(d, zid)
     # every nonzero off-diagonal entry flipped: failures in several rows and
     # columns, so that an order other than the direct one shows
-    corrupted = {k: v if k[0] == k[1] else -v for k, v in grid.items()}
+    corrupted = (rows, {k: v if k[0] == k[1] else -v for k, v in grid.items()})
     monkeypatch.setattr(
         chevalley,
-        "stab_grid",
+        "factored_grid",
         lambda diagram, z, normalized=False: corrupted
         if (diagram.key(), z) == (d.key(), zid)
-        else stab_grid(diagram, z, normalized),
+        else factored_grid(diagram, z, normalized),
     )
     monkeypatch.setattr(chevalley, "gram_matrix", gram_matrix.__wrapped__)
     want = [
@@ -291,14 +291,17 @@ def test_corrupted_gram_fails_modulo_the_torus_with_full_ring_payloads(monkeypat
     # a numerator that one of those forms divides
     d = BraneDiagram.parse("0/1/2/4\\3\\2\\1\\0")
     zid = Permutation.identity(d.N)
-    grid, grid_op = stab_grid(d, zid), stab_grid(d, opposite_chamber(zid))
-    corrupted = {k: v if k[0] == k[1] else -v for k, v in grid.items()}
+    rows, cofactors = factored_grid(d, zid)
+    grid_op = stab_grid(d, opposite_chamber(zid))
+    bad = (rows, {k: v if k[0] == k[1] else -v for k, v in cofactors.items()})
+    corrupted = expand_grid(bad)
+    assert corrupted == {k: v if k[0] == k[1] else -v for k, v in stab_grid(d, zid).items()}
     monkeypatch.setattr(
         chevalley,
-        "stab_grid",
-        lambda diagram, z, normalized=False: corrupted
+        "factored_grid",
+        lambda diagram, z, normalized=False: bad
         if (diagram.key(), z) == (d.key(), zid)
-        else stab_grid(diagram, z, normalized),
+        else factored_grid(diagram, z, normalized),
     )
     monkeypatch.setattr(chevalley, "gram_matrix", gram_matrix.__wrapped__)
     keys = [D.key() for D in enumerate_ties(d)]
@@ -320,17 +323,17 @@ def test_corruption_that_the_torus_quotient_hides_still_fails_verify(monkeypatch
     # pairing cannot see it; the oracle reads the full grid and rejects it
     d = BraneDiagram.parse(RES_DIAGRAM)
     zid = Permutation.identity(3)
-    grid = stab_grid(d, zid)
+    rows, grid = factored_grid(d, zid)
     off = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
     corrupted = {**grid, off: grid[off] + MultiPoly.t(d.N, d.N) ** grid[off].degree()}
     phi = _diagonal_quotient(d.N)[0]
     assert phi(corrupted[off]) == phi(grid[off])
     monkeypatch.setattr(
         chevalley,
-        "stab_grid",
-        lambda diagram, z, normalized=False: corrupted
+        "factored_grid",
+        lambda diagram, z, normalized=False: (rows, corrupted)
         if (diagram.key(), z) == (d.key(), zid)
-        else stab_grid(diagram, z, normalized),
+        else factored_grid(diagram, z, normalized),
     )
     for name in ("gram_matrix", "cm_matrix_oracle", "_solve_plan"):
         monkeypatch.setattr(chevalley, name, getattr(chevalley, name).__wrapped__)
@@ -354,7 +357,7 @@ def _rejects(route, formula):
 def test_both_oracle_routes_reject_corruption(monkeypatch):
     d = BraneDiagram.parse(RES_DIAGRAM)
     zid = Permutation.identity(3)
-    grid = stab_grid(d, zid)
+    rows, grid = factored_grid(d, zid)
     off = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
     corrupted = dict(grid)
     corrupted[off] = -grid[off]
@@ -373,10 +376,10 @@ def test_both_oracle_routes_reject_corruption(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(
                 chevalley,
-                "stab_grid",
-                lambda diagram, z, normalized=False: corrupted
+                "factored_grid",
+                lambda diagram, z, normalized=False: (rows, corrupted)
                 if (diagram.key(), z) == (d.key(), zid)
-                else stab_grid(diagram, z, normalized),
+                else factored_grid(diagram, z, normalized),
             )
             m.setattr(chevalley, "_solve_plan", chevalley._solve_plan.__wrapped__)
             terms = _pairing_terms(d, zid)

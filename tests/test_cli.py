@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from bowcalc.cli import MATH_ERROR, USAGE_ERROR, build_parser, main
 from bowcalc.diagrams import BraneDiagram
 from bowcalc.exactalg import MultiPoly
 from bowcalc.permcalc import Permutation
-from bowcalc.stabloc import stab_grid
+from bowcalc.stabloc import factored_grid
 
 RES = "0/1/3/5\\3\\2\\0"
 
@@ -82,6 +83,15 @@ def test_verify_roundtrip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["result"]["report"]["ok"] is True
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    # the stdout of the 27-point verify, byte for byte, as in the benchmark
+    code, out, _ = run(capsys, "verify", "--json", "--diagram", "0/1/3/4/5\\4\\3\\1\\0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a293b2c920cdc1b1b438527d62a1185e86d74bfe450d43bce1c521ec841d2c6c"
+    )
 
 
 def test_hw(capsys):
@@ -191,7 +201,7 @@ def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
     # a zero diagonal fails even at a fixed point whose row has no term to
     # divide, one with no other nonzero entry
     d = BraneDiagram.parse(RES)
-    grid = stab_grid(d, Permutation.identity(d.N))
+    rows, grid = factored_grid(d, Permutation.identity(d.N))
     t, x = min(k for k, v in grid.items() if k[0] != k[1] and not v.is_zero())
     bad = dict(grid)
     if defect == "cycle":
@@ -203,7 +213,7 @@ def test_cm_oracle_non_triangular_grid(capsys, monkeypatch, defect):
         lone = [k for k in keys if all(grid[(k, y)].is_zero() for y in keys if y != k)]
         assert lone
         bad[(lone[0], lone[0])] = MultiPoly.zero(d.N)
-    monkeypatch.setattr(chevalley, "stab_grid", lambda diagram, z, normalized=False: bad)
+    monkeypatch.setattr(chevalley, "factored_grid", lambda diagram, z, normalized=False: (rows, bad))
     # the oracle and its solve plan are memoized: solve afresh on the patched grid
     monkeypatch.setattr(chevalley, "cm_matrix_oracle", chevalley.cm_matrix_oracle.__wrapped__)
     monkeypatch.setattr(chevalley, "_solve_plan", chevalley._solve_plan.__wrapped__)

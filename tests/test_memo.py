@@ -67,12 +67,16 @@ def test_stab_grid_is_shared_and_read_only():
 def test_stab_tilde_grid_is_shared_and_read_only():
     d = essential(separate(BraneDiagram.parse("0/1/2/4\\3\\2\\1\\0"))[0])[0]
     g = stab_tilde_grid(d)
-    before = _snapshot(g)
-    k = next(iter(g))
+    rows, cofactors = g
+    before = _snapshot(cofactors), _snapshot(rows)
+    k = next(iter(cofactors))
     with pytest.raises(TypeError):
-        g[k] = MultiPoly.zero(d.N)
+        cofactors[k] = MultiPoly.zero(d.N)
+    with pytest.raises(TypeError):
+        rows[k[0]] = ()
+    assert isinstance(g, tuple) and all(isinstance(forms, tuple) for forms in rows.values())
     assert stab_tilde_grid(d) is g
-    assert _snapshot(stab_tilde_grid(d)) == before
+    assert (_snapshot(cofactors), _snapshot(rows)) == before
 
 
 def test_fixed_point_table_is_shared_and_read_only():

@@ -27,6 +27,7 @@ from bowcalc.exactalg import (
     NonPolynomialError,
     RingMap,
     factor_s_forms,
+    poly_product,
 )
 from bowcalc.permcalc import (
     Composition,
@@ -40,11 +41,14 @@ from bowcalc.permcalc import (
 )
 from bowcalc.stabloc import (
     _block_root_denominator,
+    _cancel_weights,
     _coset_sums,
     _loop_free_roots,
     _root_product,
     _standardize,
     chargeless_euler,
+    expand_grid,
+    factored_grid,
     loop_free_prefactor,
     n_euler,
     opposite_chamber,
@@ -406,6 +410,90 @@ def test_transported_grids_are_pinned(text):
     assert digest.hexdigest() == TRANSPORT_DIGESTS[text]
 
 
+# The same lines on diagrams whose grids carry row factors that the norm
+# weights cancel against: every chamber of the first two, the identity and
+# longest chambers of the last two, recorded at f4c4df3, before the grids were
+# transported as row factors and cofactors.  verify cannot see a grid row
+# scaled by a polynomial, so these pins are what holds the row factors
+ROW_FACTOR_DIGESTS = {
+    "0/1/2/3\\2\\1\\0": (None, "d069b21c910800f80eb49d40cff97b826708c8547e975903c8be5baa49f8cfba"),
+    "0/1/3/5\\3\\2\\0": (None, "5a00569c2814cd8f1585c003e474d01da557d8c15d53ae425dabbffa73ebcaa1"),
+    "0/1/2/4\\3\\2\\1\\0": ("ends", "3543e6576d16240475844387d067bd779461fc9535b39a52e7944749e91322a6"),
+    "0/1/3/4\\3\\2\\1\\0": ("ends", "b3b25182e1edf637d582929e141871cdfa1ad259d95d71281eab5d36b3f5ecbd"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(ROW_FACTOR_DIGESTS))
+def test_row_factored_grids_are_pinned(text):
+    d = BraneDiagram.parse(text)
+    chambers, want = ROW_FACTOR_DIGESTS[text]
+    one_lines = list(itertools.permutations(range(1, d.N + 1)))
+    if chambers == "ends":
+        one_lines = [one_lines[0], one_lines[-1]]
+    digest = hashlib.sha256()
+    for ol in one_lines:
+        for normalized in (False, True):
+            grid = stab_grid(d, Permutation(ol), normalized=normalized)
+            for key in sorted(grid):
+                line = "%s|%s|%s|%s=%s\n" % (
+                    text, ",".join(map(str, ol)), normalized, "|".join(key), grid[key]
+                )
+                digest.update(line.encode())
+    assert digest.hexdigest() == want
+
+
+def test_norm_weights_cancel_against_row_forms_up_to_sign():
+    # a weight equal to a row form removes it, one equal to its negative
+    # removes it and flips the sign, any other is left to divide the
+    # cofactors; each way, the row's forms times the cofactor is the entry
+    # divided by the weights
+    N = 3
+    f = MultiPoly.linear(N, {1: 1, 2: -1}, 1)
+    g = MultiPoly.linear(N, {2: 1, 3: -1})
+    two_h = H(N) * 2
+    w = MultiPoly.linear(N, {1: 1, 3: -1}, -2)
+    cofactor = w * MultiPoly.linear(N, {1: 1, 2: -1}, 3) + H(N) * w
+    entry = poly_product([f, g, two_h], N) * cofactor
+    assert _cancel_weights([f, g, two_h], [f]) == ([g, two_h], 1, [])
+    for weights in ([-g, w], [w, -f], [f, -g, w]):
+        forms, sign, rest = _cancel_weights([f, g, two_h], weights)
+        assert rest == [w] and sign == (-1) ** sum(x in (-f, -g) for x in weights)
+        want = entry
+        for x in weights:
+            want = want.exact_div(x)
+        assert poly_product(forms, N) * cofactor.exact_div(w) * sign == want
+
+
+def test_transport_cancels_negated_row_forms(monkeypatch):
+    # the tilde grids with every row form negated and each row's cofactors
+    # signed to keep the products: every norm weight the transport matches
+    # then matches a negated form, and the expanded grids do not move
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    real = stabloc.stab_tilde_grid
+
+    def negated(diagram):
+        rows, cofactors = real(diagram)
+        return (
+            {e: tuple(-f for f in forms) for e, forms in rows.items()},
+            {k: v * (-1) ** len(rows[k[0]]) for k, v in cofactors.items()},
+        )
+
+    signs = []
+
+    def spy(forms, weights):
+        out = _cancel_weights(forms, weights)
+        signs.append(out[1])
+        return out
+
+    cases = [(Permutation(ol), normalized) for ol in itertools.permutations(range(1, d.N + 1)) for normalized in (False, True)]
+    want = [stab_grid(d, z, normalized) for z, normalized in cases]
+    monkeypatch.setattr(stabloc, "stab_tilde_grid", negated)
+    monkeypatch.setattr(stabloc, "_cancel_weights", spy)
+    for (z, normalized), grid in zip(cases, want):
+        assert expand_grid(factored_grid.__wrapped__(d, z, normalized)) == grid, (str(z), normalized)
+    assert -1 in signs
+
+
 @pytest.mark.parametrize("text", ["0\\2\\2/2/2/2\\0", "0\\2/3\\2/2/2\\0"])
 def test_repeated_euler_weights_divide_one_at_a_time(text):
     # stab_grid divides by the norm Euler class one lifted weight at a time;
@@ -509,7 +597,8 @@ def test_partial_flag_equals_the_full_prefactor_route(inputs, data):
     wp = Permutation(data.draw(st.permutations(range(1, n + 1))))
     sign = -1 if (coset_length(wp, delta) + wp.length()) % 2 else 1
     _, forms = _block_root_denominator(delta, w)
-    ((_, shared, _),) = _coset_sums(delta, [w], [])
+    ((_, common, _),) = _coset_sums(delta, [w], [])
+    shared = poly_product(common, n)
     roots = {v: _loop_free_reference(n, w * v) for v in young_elements(delta)}
     common = set.intersection(*roots.values())
     assert shared == _root_product(n, sorted(common))
@@ -589,7 +678,7 @@ TILDE_DIGESTS = {
 
 @pytest.mark.parametrize("text", sorted(TILDE_DIGESTS))
 def test_27_point_tilde_grids_are_pinned(text):
-    grid = stab_tilde_grid(BraneDiagram.parse(text))
+    grid = expand_grid(stab_tilde_grid(BraneDiagram.parse(text)))
     lines = sorted("%s|%s=%s\n" % (e, a, v) for (e, a), v in grid.items())
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == TILDE_DIGESTS[text]
 
@@ -604,7 +693,7 @@ N7_DIGEST = "809cb13c62e82f3effd891e91e87dfed121ff1ee141400eeb959dd00eb726adb"
 def test_n7_tilde_grid_is_pinned():
     d = BraneDiagram.parse(N7_DIAGRAM)
     assert (d.margins().n, d.N) == (7, 4)
-    grid = stab_tilde_grid(d)
+    grid = expand_grid(stab_tilde_grid(d))
     lines = sorted("%s|%s=%s\n" % (e, a, v) for (e, a), v in grid.items())
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == N7_DIGEST
 
@@ -623,7 +712,8 @@ def test_coset_sums_through_a_collapse_equal_the_resolved_route(inputs, data):
     perms = st.permutations(range(1, n + 1))
     targets = [Permutation(p) for p in data.draw(st.lists(perms, min_size=1, max_size=3, unique_by=tuple))]
     want = resolved_coset_values(delta, [w], targets, ring)
-    ((index, shared, sums),) = _coset_sums(delta, [w], targets, ring)
+    ((index, common, sums),) = _coset_sums(delta, [w], targets, ring)
+    shared = poly_product(common, ring.target)
     assert {(index, t): str(v * shared) for t, v in sums.items()} == {k: str(v) for k, v in want.items()}
 
 
@@ -636,6 +726,6 @@ def test_tilde_grids_equal_the_resolved_route_on_family():
         N = d_ess.N
         for z in (Permutation.identity(N), Permutation.longest(N), random_chamber(N, seed=1729 + N)):
             moved = sn_act(z, d_ess)
-            got = {key: str(value) for key, value in stab_tilde_grid(moved).items()}
+            got = {key: str(value) for key, value in expand_grid(stab_tilde_grid(moved)).items()}
             assert got == {key: str(value) for key, value in stab_tilde_grid_resolved(moved).items()}, (
                 d.format(), str(z))

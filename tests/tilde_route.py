@@ -14,7 +14,7 @@ as a difference from this route.
 """
 
 from bowcalc.diagrams import bct_key, enumerate_bct
-from bowcalc.exactalg import MultiPoly, RingMap
+from bowcalc.exactalg import MultiPoly, RingMap, poly_product
 from bowcalc.permcalc import Composition, tilde_w, w_distinguished
 from bowcalc.stabloc import _coset_sums, psi_map, resolution_normalizer
 
@@ -32,7 +32,7 @@ def resolved_coset_values(delta, ws, targets, ring):
     variables."""
     out = {}
     for index, common, sums in _coset_sums(delta, ws, targets):
-        shared = ring(common)
+        shared = ring(poly_product(common, delta.total))
         for tgt, value in sums.items():
             out[(index, tgt)] = ring(value) * shared
     return out
