@@ -11,7 +11,12 @@ Both the oracle and the pairing read the grids factored by rows
 (``stabloc.factored_grid``): every entry of row T is K(T), a product of
 linear forms, times a cofactor.  The solve is unchanged when row T is
 divided by K(T), and in the pairing K_z(T) * K_-z(T) divides e(T), so both
-run on the cofactors alone and give the same exact values."""
+run on the cofactors alone and give the same exact values.
+
+``verify``'s orthogonality check decides with no division at all
+(``_orthogonal``): the Gram matrix A^T E^-1 B of the two grids is the
+identity exactly when B A^T = E = diag(e(T)).  The pairing and the Gram
+matrix are formed only to report a failure, and for ``bowcalc pair``."""
 
 import operator
 import random
@@ -36,6 +41,7 @@ from .exactalg import (
     RingMap,
     _cancel_forms,
     factor_s_forms,
+    poly_product,
     sum_of_products,
 )
 from .memo import ReadOnly, memo
@@ -185,8 +191,9 @@ def _pairing_terms(diagram, z):
 
     Returns {(D key, D' key): ((T key, LocalizedScalar), ...)}: the summands
     ``gram_matrix`` adds up for this diagram and chamber, also read by the
-    pairing route in ``tests/pairing_route.py``.  Not memoized: the Gram
-    matrix is, so the summands live only while it sums them.  Each nonzero
+    pairing route in ``tests/pairing_route.py``.  A passing ``verify`` never
+    forms them (``check_orthogonality``).  Not memoized: the Gram matrix
+    is, so the summands live only while it sums them.  Each nonzero
     cofactor of Stab_op(D')|_T is divided once by the tangent forms of T
     that divide it, and each nonzero one of Stab(D)|_T is cancelled once,
     for all D'.
@@ -267,12 +274,11 @@ class CMMatrix(ReadOnly):
         return self.entries.get((row_key, col_key), zero)
 
     def __eq__(self, other):
+        # the constructor drops zero entries, so equal matrices hold the
+        # same keys
         if not isinstance(other, CMMatrix):
             return NotImplemented
-        if self.basis != other.basis:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.entry(*k) == other.entry(*k) for k in keys)
+        return self.basis == other.basis and self.entries == other.entries
 
     def map_values(self, fn):
         return CMMatrix(
@@ -447,6 +453,9 @@ def gram_matrix(diagram, z):
     each group's sum is reduced once; the groups are then added as
     ``LocalizedScalar``s, and the total is lifted back to the full ring.
     Every sum is exact and reduced, so no order of addition moves a byte.
+
+    ``check_orthogonality`` sums it only when the division-free identity
+    (``_orthogonal``) fails, to report the failing entries' values.
     """
     op = opposite_chamber(z)
     if op.one_line < z.one_line:
@@ -472,8 +481,55 @@ def gram_matrix(diagram, z):
     return out
 
 
+def _orthogonal(diagram, z):
+    """Whether the Gram matrix of chamber z is the identity, decided with no
+    division: for all fixed points T, T',
+    sum_D S_-z(T, D) * S_z(T', D) is e(T) / (K_z(T) * K_-z(T)) when T == T'
+    and 0 otherwise, on the cofactors S of both grids (``factored_grid``).
+
+    With A and B the chamber-z and opposite grids and E = diag(e(T)), the
+    Gram matrix is A^T E^-1 B.  All three are square and E is invertible, so
+    it is the identity exactly when B A^T = E; dividing row T of B by
+    K_-z(T) and row T' of A by K_z(T') leaves the identity above, with the
+    cofactor tangent classes (``_cofactor_tangents``) on the diagonal.  Like
+    ``_pairing_terms``, it runs modulo the diagonal torus: each nonzero
+    cofactor is mapped through phi once, so it holds exactly when
+    ``gram_matrix`` is the identity.  Only D between T' and T in the
+    support order give a term.  Not memoized: ``verify`` runs it once per
+    chamber, and it costs less than the Gram matrix it stands in for.
+    """
+    keys = list(_fixed_points(diagram))
+    quotient = _diagonal_quotient(diagram.N)
+    phi = quotient[0] if quotient else (lambda p: p)
+    window = diagram.N - 1 if quotient else diagram.N
+    tangent = _cofactor_tangents(diagram, z)
+    # column D of each grid as [(T, phi(S(T, D))), ...] over its nonzero entries
+    cols_op, cols_c = (
+        {D: [(T, phi(grid[(T, D)])) for T in keys if not grid[(T, D)].is_zero()] for D in keys}
+        for grid in (factored_grid(diagram, opposite_chamber(z))[1], factored_grid(diagram, z)[1])
+    )
+    products = {}
+    for D in keys:
+        for T, b in cols_op[D]:
+            for T2, a in cols_c[D]:
+                products.setdefault((T, T2), []).append((b, a))
+    h = MultiPoly.h(window)
+    for T in keys:
+        const, hpow, forms = tangent[T]
+        want = poly_product([form.as_poly(window) for form in forms], window) * h**hpow * const
+        if not sum_of_products(products.pop((T, T), ()), window) == want:
+            return False
+    return all(sum_of_products(group, window).is_zero() for group in products.values())
+
+
 def check_orthogonality(diagram, z):
-    """Thm: the Gram matrix of (Stab_c, Stab_c_op) is the identity."""
+    """Thm: the Gram matrix of (Stab_c, Stab_c_op) is the identity.
+
+    Decided by the division-free ``_orthogonal``; only when that fails is
+    the Gram matrix summed, to report each entry that is not the
+    identity's with its value."""
+    if _orthogonal(diagram, z):
+        return []
     gram = gram_matrix(diagram, z)
     failures = []
     for (a, b), val in gram.items():

@@ -9,9 +9,11 @@ import random
 from collections import Counter
 from itertools import permutations
 
+from bowcalc import chevalley
 from bowcalc.chevalley import (
     _diagonal_quotient,
     _lift,
+    _orthogonal,
     _pairing_terms,
     _tangent_factors,
     _tangent_summands,
@@ -22,6 +24,7 @@ from bowcalc.chevalley import (
     cm_matrix,
     cm_matrix_oracle,
     gram_matrix,
+    verify,
 )
 from bowcalc.diagrams import (
     BraneDiagram,
@@ -261,6 +264,29 @@ def test_division_free_orthogonality():
         for z in (Permutation.identity(d.N), z_random):
             failures = division_free_orthogonality_failures(d, z)
             assert not failures, (d.format(), str(z), failures[:3])
+
+
+def test_division_free_identity_on_family():
+    # the identity that check_orthogonality decides by, on the cofactors
+    # modulo the diagonal torus, in the identity, longest and a seeded chamber
+    for d in family():
+        for z in (Permutation.identity(d.N), Permutation.longest(d.N), random_chamber(d.N, seed=1729 + d.N)):
+            assert _orthogonal(d, z), (d.format(), str(z))
+
+
+def test_passing_verify_on_family_never_pairs(monkeypatch):
+    # the Gram matrix is summed only to report a failure, so a passing verify
+    # forms no pairing summand; the Gram memo is bypassed, so that a matrix
+    # another test left there cannot hide a call
+    calls = []
+    pairing_terms = chevalley._pairing_terms
+    monkeypatch.setattr(
+        chevalley, "_pairing_terms", lambda d, z: calls.append((d.format(), str(z))) or pairing_terms(d, z)
+    )
+    monkeypatch.setattr(chevalley, "gram_matrix", gram_matrix.__wrapped__)
+    for d in family():
+        assert verify(d, seed=d.N)["ok"], d.format()
+    assert calls == []
 
 
 def test_criterion_7_cm_equals_oracle():

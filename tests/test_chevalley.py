@@ -7,6 +7,7 @@ from bowcalc.chevalley import (
     CMMatrix,
     _diagonal_quotient,
     _lift,
+    _orthogonal,
     _pairing_terms,
     _tangent_factors,
     check_congruence,
@@ -385,3 +386,83 @@ def test_both_oracle_routes_reject_corruption(monkeypatch):
             terms = _pairing_terms(d, zid)
             assert _rejects(lambda: cm_matrix_oracle.__wrapped__(d, zid, j), good)
             assert _rejects(lambda: cm_matrix_pairing(d, zid, j, terms), good)
+
+
+def _gram_is_identity(d, z):
+    try:
+        gram = gram_matrix.__wrapped__(d, z)
+    except (NotDivisibleError, NonPolynomialError):
+        return False
+    return all(v == (1 if a == b else 0) for (a, b), v in gram.items())
+
+
+def _identity_holds(d, z):
+    try:
+        return _orthogonal(d, z)
+    except (NotDivisibleError, NonPolynomialError):
+        return False
+
+
+def test_division_free_identity_agrees_with_the_gram_matrix_under_corruption(monkeypatch):
+    # one cofactor grid corrupted at a time, in either chamber of the pair:
+    # the identity fails exactly when the Gram matrix, summed past its memo,
+    # is not the identity.  The tangent classes are read either from the
+    # corrupted grids or from the true ones, through the memo.  Read from the
+    # corrupted grids, a diagonal cofactor scaled at a point with nothing
+    # below it in the other chamber's order is visible to neither, so every
+    # diagonal is negated and both verdicts occur
+    corruptions = {
+        "off-diagonal negated": lambda k, v: -v if k[0] != k[1] else None,
+        "cofactor doubled": lambda k, v: 2 * v,
+        "diagonal negated": lambda k, v: -v if k[0] == k[1] else None,
+        "h^deg added": lambda k, v: v + MultiPoly.h(v.window) ** v.degree(),
+    }
+    rng = random.Random(32)
+    verdicts = []
+    for text in (RES_DIAGRAM, "0/1/2/4\\3\\2\\1\\0"):
+        d = BraneDiagram.parse(text)
+        z = Permutation.identity(d.N)
+        _tangent_factors(d, z)  # the true tangent classes, in the memo
+        bypassed = (("gram_matrix",), ("gram_matrix", "_tangent_factors"))
+        for chamber, memoized in itertools.product((z, opposite_chamber(z)), bypassed):
+            rows, cofactors = factored_grid(d, chamber)
+            nonzero = sorted(k for k, v in cofactors.items() if not v.is_zero())
+            for kind, corrupt in corruptions.items():
+                picked = [k for k in nonzero if corrupt(k, cofactors[k]) is not None]
+                if kind != "diagonal negated":
+                    picked = rng.sample(picked, 2)
+                for k in picked:
+                    bad = (rows, {**cofactors, k: corrupt(k, cofactors[k])})
+                    with monkeypatch.context() as m:
+                        m.setattr(
+                            chevalley,
+                            "factored_grid",
+                            lambda diagram, c, normalized=False, bad=bad, chamber=chamber, d=d: bad
+                            if (diagram.key(), c) == (d.key(), chamber)
+                            else factored_grid(diagram, c, normalized),
+                        )
+                        for name in memoized:
+                            m.setattr(chevalley, name, getattr(chevalley, name).__wrapped__)
+                        identity = _identity_holds(d, z)
+                        assert identity == _gram_is_identity(d, z), (text, str(chamber), memoized, kind, k)
+                    verdicts.append(identity)
+    assert not all(verdicts) and any(verdicts)
+    # the memoized tables were not touched: the true grids still pass
+    assert _orthogonal(d, z)
+    # a t_N-only term vanishes under t_N -> 0: both routes pass it, and only
+    # the oracle, which reads the full grid, rejects it
+    # (test_corruption_that_the_torus_quotient_hides_still_fails_verify)
+    d = BraneDiagram.parse(RES_DIAGRAM)
+    z = Permutation.identity(d.N)
+    rows, cofactors = factored_grid(d, z)
+    off = min(k for k, v in cofactors.items() if k[0] != k[1] and not v.is_zero())
+    hidden = (rows, {**cofactors, off: cofactors[off] + MultiPoly.t(d.N, d.N) ** cofactors[off].degree()})
+    monkeypatch.setattr(
+        chevalley,
+        "factored_grid",
+        lambda diagram, c, normalized=False: hidden
+        if (diagram.key(), c) == (d.key(), z)
+        else factored_grid(diagram, c, normalized),
+    )
+    monkeypatch.setattr(chevalley, "gram_matrix", gram_matrix.__wrapped__)
+    assert _orthogonal(d, z) and _gram_is_identity(d, z)

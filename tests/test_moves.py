@@ -3,7 +3,8 @@ whose rows straddle the interval, each with its move sign; on random admissible
 diagrams, every move lands on the fixed-point table's own tie diagram, and on
 the small ones the formula, the pairing route and the dense solve match the
 oracle, whose solve plan extends each chamber's support, the matrices
-commute, ``verify`` passes and the division-free orthogonality holds."""
+commute, ``verify`` passes and the division-free orthogonality holds, on
+the cofactors modulo the diagonal torus and on the full grids."""
 
 import random
 from itertools import combinations, product
@@ -11,7 +12,7 @@ from itertools import combinations, product
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from bowcalc.chevalley import _pairing_terms, _solve_plan, cm_matrix, cm_matrix_oracle, verify
+from bowcalc.chevalley import _orthogonal, _pairing_terms, _solve_plan, cm_matrix, cm_matrix_oracle, verify
 from bowcalc.diagrams import (
     BLUE,
     RED,
@@ -143,6 +144,7 @@ def test_moves_on_random_admissible_diagrams(drawn):
         a, b = cm_matrix(d, z, i), cm_matrix(d, z, j)
         assert not (a.compose(b) - b.compose(a)).entries, (d.format(), str(z), i, j)
     assert verify(d)["ok"], d.format()
+    assert _orthogonal(d, z), (d.format(), str(z))
     assert not division_free_orthogonality_failures(d, z), (d.format(), str(z))
 
 
